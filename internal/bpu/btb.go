@@ -14,16 +14,18 @@ type BTBEntry struct {
 }
 
 type btbLine struct {
-	tag   uint64
-	valid bool
 	lru   uint64
 	entry BTBEntry
 }
 
 // BTB is a set-associative branch target buffer with LRU replacement.
 type BTB struct {
-	sets  int
-	ways  int
+	sets int
+	ways int
+	// keys holds one word per way, set-major: tag+1 when the way is valid,
+	// 0 when not. The way scan reads only this dense array; lines holds
+	// the rest of each way at the same index.
+	keys  []uint64
 	lines []btbLine
 	clk   uint64
 
@@ -36,40 +38,49 @@ func NewBTB(sets, ways int) *BTB {
 	if sets <= 0 || sets&(sets-1) != 0 || ways <= 0 {
 		panic("bpu: invalid BTB geometry")
 	}
-	return &BTB{sets: sets, ways: ways, lines: make([]btbLine, sets*ways)}
+	return &BTB{sets: sets, ways: ways, keys: make([]uint64, sets*ways), lines: make([]btbLine, sets*ways)}
 }
 
-func (b *BTB) index(pc isa.Addr) int {
-	return int((uint64(pc) >> 2) & uint64(b.sets-1))
+// find returns the set's base index in keys and lines, pc's key, and the
+// index of the way holding it (-1 when absent).
+func (b *BTB) find(pc isa.Addr) (base int, key uint64, at int) {
+	base = int((uint64(pc)>>2)&uint64(b.sets-1)) * b.ways
+	key = (uint64(pc)>>2)/uint64(b.sets) + 1
+	for i, k := range b.keys[base : base+b.ways] {
+		if k == key {
+			return base, key, base + i
+		}
+	}
+	return base, key, -1
 }
 
-func (b *BTB) tag(pc isa.Addr) uint64 {
-	return (uint64(pc) >> 2) / uint64(b.sets)
-}
-
-func (b *BTB) set(pc isa.Addr) []btbLine {
-	i := b.index(pc)
-	return b.lines[i*b.ways : (i+1)*b.ways]
+// free returns the index of the set's first invalid way, or -1 when every
+// way is valid.
+func (b *BTB) free(base int) int {
+	for i, k := range b.keys[base : base+b.ways] {
+		if k == 0 {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Lookup returns the entry for pc if present.
 func (b *BTB) Lookup(pc isa.Addr) (BTBEntry, bool) {
 	b.lookups++
-	tag := b.tag(pc)
-	set := b.set(pc)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			b.clk++
-			set[i].lru = b.clk
-			b.hits++
-			e := set[i].entry
-			// A shadow-filled entry reports its provenance on the first
-			// demand lookup only (the returned copy keeps the flag).
-			set[i].entry.Shadow = false
-			return e, true
-		}
+	_, _, at := b.find(pc)
+	if at < 0 {
+		return BTBEntry{}, false
 	}
-	return BTBEntry{}, false
+	w := &b.lines[at]
+	b.clk++
+	w.lru = b.clk
+	b.hits++
+	e := w.entry
+	// A shadow-filled entry reports its provenance on the first demand
+	// lookup only (the returned copy keeps the flag).
+	w.entry.Shadow = false
+	return e, true
 }
 
 // InstallShadow pre-fills the entry for a branch decoded from a fetched
@@ -78,48 +89,37 @@ func (b *BTB) Lookup(pc isa.Addr) (BTBEntry, bool) {
 // when every way holds a valid entry the fill is dropped rather than
 // displacing trained state (dropped=true).
 func (b *BTB) InstallShadow(pc, target isa.Addr, class isa.Class) (installed, dropped bool) {
-	tag := b.tag(pc)
-	set := b.set(pc)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return false, false
-		}
+	base, key, at := b.find(pc)
+	if at >= 0 {
+		return false, false
 	}
-	for i := range set {
-		if !set[i].valid {
-			b.clk++
-			set[i] = btbLine{tag: tag, valid: true, lru: b.clk,
-				entry: BTBEntry{Target: target, Class: class, Shadow: true}}
-			return true, false
-		}
+	v := b.free(base)
+	if v < 0 {
+		return false, true
 	}
-	return false, true
+	b.clk++
+	b.keys[v] = key
+	b.lines[v] = btbLine{lru: b.clk, entry: BTBEntry{Target: target, Class: class, Shadow: true}}
+	return true, false
 }
 
 // Update installs or refreshes the entry for pc.
 func (b *BTB) Update(pc, target isa.Addr, class isa.Class) {
-	tag := b.tag(pc)
-	set := b.set(pc)
+	base, key, at := b.find(pc)
 	b.clk++
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].entry = BTBEntry{Target: target, Class: class}
-			set[i].lru = b.clk
-			return
+	if at < 0 {
+		// Victim selection: prefer an invalid way, else LRU.
+		if at = b.free(base); at < 0 {
+			at = base
+			for i := base + 1; i < base+b.ways; i++ {
+				if b.lines[i].lru < b.lines[at].lru {
+					at = i
+				}
+			}
 		}
+		b.keys[at] = key
 	}
-	// Victim selection: prefer an invalid way, else LRU.
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	set[victim] = btbLine{tag: tag, valid: true, lru: b.clk, entry: BTBEntry{Target: target, Class: class}}
+	b.lines[at] = btbLine{lru: b.clk, entry: BTBEntry{Target: target, Class: class}}
 }
 
 // HitRate returns the lifetime hit rate.

@@ -61,7 +61,7 @@ func (k ReplKind) String() string {
 type LevelConfig struct {
 	Name string
 	// SizeBytes and Ways determine the set count (SizeBytes / LineSize /
-	// Ways), which must come out a power of two.
+	// Ways), which must divide exactly and come out a power of two.
 	SizeBytes int
 	Ways      int
 	// HitLatency is the cycles from access to data at this level.
@@ -76,6 +76,10 @@ func (c LevelConfig) Sets() int { return c.SizeBytes / isa.LineSize / c.Ways }
 func (c LevelConfig) Validate() error {
 	if c.Ways <= 0 || c.SizeBytes <= 0 {
 		return fmt.Errorf("cache %s: non-positive geometry", c.Name)
+	}
+	if c.SizeBytes%(isa.LineSize*c.Ways) != 0 {
+		return fmt.Errorf("cache %s: size %d is not a multiple of %d-byte lines x %d ways",
+			c.Name, c.SizeBytes, isa.LineSize, c.Ways)
 	}
 	sets := c.Sets()
 	if sets <= 0 || sets&(sets-1) != 0 {
@@ -120,13 +124,6 @@ func (s *Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-type line struct {
-	tag      uint64
-	valid    bool
-	ready    Cycle // fill completion; line usable for hits at/after this
-	prefetch bool  // filled by a prefetch and not yet demanded
-}
-
 // Backend is anything a Level can miss to.
 type Backend interface {
 	// Access requests lineAddr at cycle now and returns availability time.
@@ -134,32 +131,40 @@ type Backend interface {
 }
 
 // Level is one set-associative cache level.
+//
+// Each set is one contiguous record in recs, so a lookup, a victim search
+// and a fill all stay inside one short run of host memory. In words from
+// the record's start, with W ways:
+//
+//	[0]                  MRU hint: the way last hit or filled
+//	[1, keyOff)          prefetch marks, one bit per way: filled by a
+//	                     prefetch and not yet demanded
+//	[keyOff, +W)         keys: tag+1 when the way is valid, 0 when not
+//	[readyOff, +W)       ready cycles: fill completion; the line is usable
+//	                     for hits at and after this cycle
+//	[replOff, +W)        replacement state: the LRU timestamp or the SRRIP
+//	                     re-reference value, depending on cfg.Repl
+//
+// The MRU hint is purely a scan-order shortcut: instruction and data
+// streams re-touch the same line in bursts, so checking it before the way
+// scan turns most hits into a single compare. Hits, misses, victims and
+// timing are identical with or without it.
 type Level struct {
 	cfg      LevelConfig
 	sets     int
 	shift    uint
 	tagShift uint // when sets is a power of two, tagOf is a single shift
 	mask     uint64
-	lines  []line // sets*ways, row-major
-	// keys mirrors lines: tag+1 when the way is valid, 0 when not. The hit
-	// scan walks this dense array instead of the line structs, one cache
-	// line of keys covering eight ways.
-	keys []uint64
-	// repl mirrors lines with per-way replacement state — the LRU
-	// timestamp or the SRRIP re-reference value, depending on cfg.Repl —
-	// so the victim scan is dense too.
-	repl []uint64
-	// mru holds each set's last-hit (or last-filled) way. Instruction and
-	// data streams re-touch the same line in bursts, so checking the hint
-	// before the way scan turns most hits into a single compare. Purely a
-	// scan-order shortcut: hits, misses, victims and timing are identical
-	// with or without it.
-	mru    []int32
-	lruClk uint64
-	next   Backend
-	rng    *xrand.Rand
-	sink   obs.Sink // nil when observation is off
-	stats  Stats
+	recs     []uint64 // sets*stride words, one record per set
+	stride   int
+	keyOff   int
+	readyOff int
+	replOff  int
+	lruClk   uint64
+	next     Backend
+	rng      *xrand.Rand
+	sink     obs.Sink // nil when observation is off
+	stats    Stats
 }
 
 // NewLevel builds a level whose misses go to next.
@@ -175,17 +180,20 @@ func NewLevel(cfg LevelConfig, next Backend) (*Level, error) {
 	for 1<<shift < isa.LineSize {
 		shift++
 	}
+	keyOff := 1 + (cfg.Ways+63)/64
+	stride := keyOff + 3*cfg.Ways
 	l := &Level{
-		cfg:   cfg,
-		sets:  sets,
-		shift: shift,
-		mask:  uint64(sets - 1),
-		lines: make([]line, sets*cfg.Ways),
-		keys:  make([]uint64, sets*cfg.Ways),
-		repl:  make([]uint64, sets*cfg.Ways),
-		mru:   make([]int32, sets),
-		next:  next,
-		rng:   xrand.New(0xcafe ^ uint64(len(cfg.Name))),
+		cfg:      cfg,
+		sets:     sets,
+		shift:    shift,
+		mask:     uint64(sets - 1),
+		recs:     make([]uint64, sets*stride),
+		stride:   stride,
+		keyOff:   keyOff,
+		readyOff: keyOff + cfg.Ways,
+		replOff:  keyOff + 2*cfg.Ways,
+		next:     next,
+		rng:      xrand.New(0xcafe ^ uint64(len(cfg.Name))),
 	}
 	if sets&(sets-1) == 0 {
 		ts := shift
@@ -221,17 +229,49 @@ func (l *Level) tagOf(lineAddr isa.Addr) uint64 {
 	return uint64(lineAddr) >> l.shift / uint64(l.sets)
 }
 
-func (l *Level) setSlice(set int) []line {
-	return l.lines[set*l.cfg.Ways : (set+1)*l.cfg.Ways]
+// record returns the set record lineAddr maps to and the key it would
+// carry there.
+func (l *Level) record(lineAddr isa.Addr) (rec []uint64, key uint64) {
+	base := l.setIndex(lineAddr) * l.stride
+	return l.recs[base : base+l.stride], l.tagOf(lineAddr) + 1
+}
+
+// mark returns the word of rec holding way wi's prefetch mark, and the
+// mark's bit in it.
+func mark(rec []uint64, wi int) (*uint64, uint64) {
+	return &rec[1+wi>>6], uint64(1) << (wi & 63)
+}
+
+// find returns the way of rec holding key, or -1, checking the MRU hint
+// first and moving it to a way the scan finds.
+func (l *Level) find(rec []uint64, key uint64) int {
+	keys := rec[l.keyOff:l.readyOff]
+	if h := rec[0]; keys[h] == key {
+		return int(h)
+	}
+	for i, k := range keys {
+		if k == key {
+			rec[0] = uint64(i)
+			return i
+		}
+	}
+	return -1
+}
+
+// lookup is find without the hint: no side effects at all.
+func (l *Level) lookup(rec []uint64, key uint64) int {
+	for i, k := range rec[l.keyOff:l.readyOff] {
+		if k == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // Access implements Backend. lineAddr must be line-aligned.
 func (l *Level) Access(lineAddr isa.Addr, now Cycle, kind AccessKind) Cycle {
 	lineAddr = lineAddr.Line()
-	set := l.setIndex(lineAddr)
-	key := l.tagOf(lineAddr) + 1
-	base := set * l.cfg.Ways
-	keys := l.keys[base : base+l.cfg.Ways]
+	rec, key := l.record(lineAddr)
 
 	if kind == Demand {
 		l.stats.Accesses++
@@ -239,153 +279,137 @@ func (l *Level) Access(lineAddr isa.Addr, now Cycle, kind AccessKind) Cycle {
 		l.stats.PrefetchReqs++
 	}
 
-	wi := -1
-	if h := int(l.mru[set]); keys[h] == key {
-		wi = h
-	} else {
-		for i, k := range keys {
-			if k == key {
-				wi = i
-				l.mru[set] = int32(i)
-				break
-			}
-		}
-	}
-	if wi >= 0 {
+	if wi := l.find(rec, key); wi >= 0 {
 		// Present (possibly still in flight).
-		w := &l.lines[base+wi]
+		ready := Cycle(rec[l.readyOff+wi])
 		if kind == Demand {
 			l.stats.Hits++
-			if w.prefetch {
+			if pf, bit := mark(rec, wi); *pf&bit != 0 {
 				l.stats.PrefetchHits++
-				w.prefetch = false
+				*pf &^= bit
 			}
-			if w.ready > now {
+			if ready > now {
 				l.stats.MergedInflight++
 			}
 		}
-		l.touch(base + wi)
-		if w.ready > now {
-			return w.ready
+		l.touch(rec, wi)
+		if ready > now {
+			return ready
 		}
 		return now + l.cfg.HitLatency
 	}
 
-	// Miss: fetch from below, fill now with a future ready time (the line
-	// entry doubles as the MSHR; later requests merge on it).
+	// Miss: fetch from below, fill now with a future ready time (the way
+	// doubles as the MSHR; later requests merge on it).
 	if kind == Demand {
 		l.stats.Misses++
 	}
 	ready := l.next.Access(lineAddr, now+l.cfg.HitLatency, kind)
-	vi := l.victim(base)
-	v := &l.lines[base+vi]
-	if v.valid {
+	vi := l.victim(rec)
+	pf, bit := mark(rec, vi)
+	if rec[l.keyOff+vi] != 0 {
 		l.stats.Evictions++
-		if v.prefetch {
+		if *pf&bit != 0 {
 			l.stats.PrefetchEvictedUnused++
 		}
 	}
-	*v = line{tag: key - 1, valid: true, ready: ready, prefetch: kind == Prefetch}
-	keys[vi] = key
-	l.mru[set] = int32(vi)
+	l.install(rec, vi, key, ready)
 	if kind == Prefetch {
+		*pf |= bit
 		l.stats.PrefetchFills++
 		if l.sink != nil {
 			l.sink.Event(obs.Event{Cycle: now, Kind: obs.EvPrefetchFill, Addr: uint64(lineAddr), Arg: ready - now})
 		}
 	}
-	l.fill(base + vi)
 	return ready
+}
+
+// install fills way vi of rec with key, completing at ready, as a demand
+// fill: the caller sets the prefetch mark for a prefetch fill.
+func (l *Level) install(rec []uint64, vi int, key uint64, ready Cycle) {
+	rec[0] = uint64(vi)
+	pf, bit := mark(rec, vi)
+	*pf &^= bit
+	rec[l.keyOff+vi] = key
+	rec[l.readyOff+vi] = uint64(ready)
+	s := &rec[l.replOff+vi]
+	switch l.cfg.Repl {
+	case ReplLRU, ReplRandom:
+		l.lruClk++
+		*s = l.lruClk
+	case ReplSRRIP:
+		*s = 2 // long re-reference interval on insertion
+	}
 }
 
 // Probe reports whether the line is present (even in flight) without any
 // side effects. Used by hardware prefetchers to filter redundant requests
 // and by tests.
 func (l *Level) Probe(lineAddr isa.Addr) bool {
-	lineAddr = lineAddr.Line()
-	set := l.setIndex(lineAddr)
-	tag := l.tagOf(lineAddr)
-	for _, w := range l.setSlice(set) {
-		if w.valid && w.tag == tag {
-			return true
-		}
-	}
-	return false
+	rec, key := l.record(lineAddr.Line())
+	return l.lookup(rec, key) >= 0
 }
 
 // Ready returns the availability cycle of the line if present.
 func (l *Level) Ready(lineAddr isa.Addr) (Cycle, bool) {
-	lineAddr = lineAddr.Line()
-	set := l.setIndex(lineAddr)
-	tag := l.tagOf(lineAddr)
-	for i := range l.setSlice(set) {
-		w := &l.setSlice(set)[i]
-		if w.valid && w.tag == tag {
-			return w.ready, true
-		}
+	rec, key := l.record(lineAddr.Line())
+	if wi := l.lookup(rec, key); wi >= 0 {
+		return Cycle(rec[l.readyOff+wi]), true
 	}
 	return 0, false
 }
 
-func (l *Level) touch(idx int) {
+func (l *Level) touch(rec []uint64, wi int) {
+	s := &rec[l.replOff+wi]
 	switch l.cfg.Repl {
 	case ReplLRU, ReplRandom:
 		l.lruClk++
-		l.repl[idx] = l.lruClk
+		*s = l.lruClk
 	case ReplSRRIP:
-		l.repl[idx] = 0
+		*s = 0
 	}
 }
 
-func (l *Level) fill(idx int) {
-	switch l.cfg.Repl {
-	case ReplLRU, ReplRandom:
-		l.lruClk++
-		l.repl[idx] = l.lruClk
-	case ReplSRRIP:
-		l.repl[idx] = 2 // long re-reference interval on insertion
-	}
-}
-
-func (l *Level) victim(base int) int {
+func (l *Level) victim(rec []uint64) int {
 	w := l.cfg.Ways
-	// Prefer an invalid way (key 0).
-	for i, k := range l.keys[base : base+w] {
-		if k == 0 {
-			return i
+	keys := rec[l.keyOff:l.readyOff]
+	// Prefer an invalid way. Fills take the first invalid way and only
+	// Flush invalidates, all ways at once, so the invalid ways are always
+	// a suffix of the set: the set has one exactly when its last way is
+	// invalid.
+	if keys[w-1] == 0 {
+		for i, k := range keys {
+			if k == 0 {
+				return i
+			}
 		}
 	}
-	repl := l.repl[base : base+w]
+	repl := rec[l.replOff : l.replOff+w]
 	switch l.cfg.Repl {
 	case ReplRandom:
 		return l.rng.Intn(w)
 	case ReplSRRIP:
-		// Equivalent to the textbook scan-then-age loop: every way ages by
-		// the same amount (3 minus the current maximum), and the victim is
-		// the first way holding that maximum.
-		var maxR uint64
-		for _, r := range repl {
-			if r > maxR {
-				maxR = r
+		// Equivalent to the textbook search-then-age loop: values stay in
+		// [0,3], so the victim is the first way holding the maximum, and
+		// every way ages by 3 minus that maximum.
+		v, m := 0, repl[0]
+		for i, r := range repl {
+			if r > m {
+				v, m = i, r
 			}
 		}
-		if maxR < 3 {
-			d := 3 - maxR
+		if m < 3 {
+			d := 3 - m
 			for i := range repl {
 				repl[i] += d
 			}
 		}
-		for i, r := range repl {
-			if r >= 3 {
-				return i
-			}
-		}
-		panic("cache: SRRIP victim scan found no way")
+		return v
 	default: // LRU
-		v := 0
-		for i := 1; i < w; i++ {
-			if repl[i] < repl[v] {
-				v = i
+		v, m := 0, repl[0]
+		for i, r := range repl {
+			if r < m {
+				v, m = i, r
 			}
 		}
 		return v
@@ -393,16 +417,7 @@ func (l *Level) victim(base int) int {
 }
 
 // Flush invalidates every line (used between experiment phases).
-func (l *Level) Flush() {
-	for i := range l.lines {
-		l.lines[i] = line{}
-		l.keys[i] = 0
-		l.repl[i] = 0
-	}
-	for i := range l.mru {
-		l.mru[i] = 0
-	}
-}
+func (l *Level) Flush() { clear(l.recs) }
 
 // DRAMConfig models main memory timing.
 type DRAMConfig struct {

@@ -38,6 +38,7 @@ func TestLevelConfigValidate(t *testing.T) {
 		{Name: "zero", SizeBytes: 0, Ways: 8},
 		{Name: "noways", SizeBytes: 1024, Ways: 0},
 		{Name: "nonpow2", SizeBytes: 3 * isa.LineSize * 2, Ways: 2}, // 3 sets
+		{Name: "ragged", SizeBytes: 9 * isa.LineSize, Ways: 4},      // 2 sets would hold only 8 lines
 		{Name: "neg", SizeBytes: 32 << 10, Ways: 8, HitLatency: -1},
 	}
 	for _, c := range bad {

@@ -3,11 +3,12 @@ package cache
 import "frontsim/internal/isa"
 
 // Warm installs lineAddr's content with no timing or statistics side
-// effects: the functional phase of sampled simulation (SMARTS-style,
-// internal/core) streams instructions through the machine to keep cache
-// contents, replacement state and inclusion behaviour warm between
-// detailed windows, without perturbing the bandwidth model or the measured
-// counters.
+// effects and reports whether the line was present beforehand, as a Probe
+// just before would have. It is the functional phase of sampled simulation
+// (SMARTS-style, internal/core): that phase streams instructions through
+// the machine to keep cache contents, replacement state and inclusion
+// behaviour warm between detailed windows, without perturbing the
+// bandwidth model or the measured counters.
 //
 // Semantics relative to Access:
 //
@@ -21,30 +22,14 @@ import "frontsim/internal/isa"
 //   - DRAM is never told: channel busy state (nextFree) is timing, and a
 //     phase that consumes no cycles must not occupy future bus slots;
 //   - no counter moves, so measured-window statistics see none of it.
-func (l *Level) Warm(lineAddr isa.Addr) {
+func (l *Level) Warm(lineAddr isa.Addr) bool {
 	lineAddr = lineAddr.Line()
-	set := l.setIndex(lineAddr)
-	key := l.tagOf(lineAddr) + 1
-	base := set * l.cfg.Ways
-	keys := l.keys[base : base+l.cfg.Ways]
-
-	wi := -1
-	if h := int(l.mru[set]); keys[h] == key {
-		wi = h
-	} else {
-		for i, k := range keys {
-			if k == key {
-				wi = i
-				l.mru[set] = int32(i)
-				break
-			}
-		}
-	}
-	if wi >= 0 {
-		w := &l.lines[base+wi]
-		w.prefetch = false
-		l.touch(base + wi)
-		return
+	rec, key := l.record(lineAddr)
+	if wi := l.find(rec, key); wi >= 0 {
+		pf, bit := mark(rec, wi)
+		*pf &^= bit
+		l.touch(rec, wi)
+		return true
 	}
 
 	// Only cache levels below are warmed; the recursion stops at DRAM (or
@@ -52,11 +37,8 @@ func (l *Level) Warm(lineAddr isa.Addr) {
 	if nl, ok := l.next.(*Level); ok {
 		nl.Warm(lineAddr)
 	}
-	vi := l.victim(base)
-	l.lines[base+vi] = line{tag: key - 1, valid: true}
-	keys[vi] = key
-	l.mru[set] = int32(vi)
-	l.fill(base + vi)
+	l.install(rec, l.victim(rec), key, 0)
+	return false
 }
 
 // Warm installs pc's translation with no statistics side effects: a
@@ -78,12 +60,14 @@ func (t *ITLB) Resident(pc isa.Addr) bool {
 
 // WarmInstr warms the instruction path for pc: the L1-I line (recursing
 // into L2/LLC) and, when modelled, the I-TLB translation. The functional
-// counterpart of FetchInstr.
-func (h *Hierarchy) WarmInstr(pc isa.Addr) {
-	h.L1I.Warm(pc.Line())
+// counterpart of FetchInstr. It reports whether the L1-I held the line
+// before the warm.
+func (h *Hierarchy) WarmInstr(pc isa.Addr) bool {
+	hit := h.L1I.Warm(pc.Line())
 	if h.ITLB != nil {
 		h.ITLB.Warm(pc)
 	}
+	return hit
 }
 
 // WarmPrefetchInstr warms an instruction line a prefetch would have

@@ -88,8 +88,7 @@ func (f *Frontend) WarmFunctional(n int64, now cache.Cycle) int64 {
 // the line's presence before warming, matching what the detailed path's
 // access would have seen.
 func (f *Frontend) warmFetchLine(line isa.Addr, now cache.Cycle) {
-	hit := f.mem.L1I.Probe(line)
-	f.mem.WarmInstr(line)
+	hit := f.mem.WarmInstr(line)
 	if f.sd != nil {
 		for _, sb := range f.sd.DecodeLine(line) {
 			f.bp.ShadowInstall(sb)

@@ -389,7 +389,17 @@ func TestReadPlanRejectsGarbage(t *testing.T) {
 	if _, err := ReadPlan(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Fatal("accepted unknown version")
 	}
-	if _, err := ReadPlan(strings.NewReader(`{"version":1,"insertions":[{"site":"zzz","target":"0x1"}]}`)); err == nil {
-		t.Fatal("accepted bad address")
+	// Each address is malformed as a whole even where a prefix of it is
+	// valid hex; a scanner that stops at the first non-hex rune would take
+	// "0x10zz" for 0x10.
+	for _, addr := range []string{"zzz", "0x10zz", "0x10 junk", "0x", "10", "0x-1", "0x+1",
+		"0x10000000000000000", " 0x10"} {
+		in := `{"version":1,"insertions":[{"site":"0x1","target":"0x1"}]}`
+		for _, field := range []string{"site", "target"} {
+			doc := strings.Replace(in, `"`+field+`":"0x1"`, `"`+field+`":"`+addr+`"`, 1)
+			if _, err := ReadPlan(strings.NewReader(doc)); err == nil {
+				t.Errorf("accepted bad %s address %q", field, addr)
+			}
+		}
 	}
 }

@@ -213,6 +213,107 @@ func TestMatrixWarmCacheByteIdentical(t *testing.T) {
 	}
 }
 
+// legacyPlanEntry is the shape plan entries were cached in before the plan
+// was stored in asmdb's binary form: the Plan's own JSON object.
+type legacyPlanEntry struct {
+	Plan        *asmdb.Plan `json:"plan"`
+	StaticBloat float64     `json:"static_bloat"`
+}
+
+// TestStalePlanEntryIsRecomputed plants a plan entry in the legacy shape
+// under a workload's real plan key. A RunMatrix that needs the plan must
+// count it as a miss, recompute the plan, overwrite the entry in the
+// current shape and match a cold run; a warm run must then hit it and
+// return the same Plan.
+func TestStalePlanEntryIsRecomputed(t *testing.T) {
+	spec, ok := workload.Lookup("public_srv_60")
+	if !ok {
+		t.Fatal("workload missing")
+	}
+	p := tinyParams()
+	fresh, err := runner.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Cache = fresh
+	cold, err := RunMatrix(spec, 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	planted, err := runner.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := newMatrixKeys(spec, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := seriesID(0); id < numSeries; id++ {
+		if err := planted.Put(keys.series[id], *cold.seriesPtr(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := planted.Put(keys.plan, legacyPlanEntry{Plan: cold.Plan, StaticBloat: cold.StaticBloat}); err != nil {
+		t.Fatal(err)
+	}
+
+	stale, err := runner.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Cache = stale
+	got, err := RunMatrix(spec, 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := stale.Metrics(); m != (runner.Metrics{Hits: int64(numSeries), Misses: 1, Puts: 1}) {
+		t.Fatalf("run over a legacy plan entry: metrics %+v, want every series hit and the plan missed and stored", m)
+	}
+	if !reflect.DeepEqual(got, cold) {
+		t.Errorf("matrix over a legacy plan entry differs from a cold run:\n got %+v\nwant %+v", got, cold)
+	}
+	var stored struct {
+		Value struct {
+			Plan json.RawMessage `json:"plan"`
+		} `json:"value"`
+	}
+	hash, err := runner.Fingerprint(keys.plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, hash[:2], hash+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &stored); err != nil {
+		t.Fatal(err)
+	}
+	if plan := stored.Value.Plan; len(plan) == 0 || plan[0] != '"' {
+		t.Fatalf("plan entry was not rewritten in the binary shape: %.80s", plan)
+	}
+
+	warmCache, err := runner.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Cache = warmCache
+	warm, err := RunMatrix(spec, 1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := warmCache.Metrics(); m != (runner.Metrics{Hits: int64(numSeries) + 1}) {
+		t.Fatalf("warm run was not pure cache hits: %+v", m)
+	}
+	if !reflect.DeepEqual(warm.Plan, cold.Plan) {
+		t.Error("warm plan differs from the cold one")
+	}
+	if !reflect.DeepEqual(warm, cold) {
+		t.Errorf("warm matrix differs from the cold one:\n got %+v\nwant %+v", warm, cold)
+	}
+}
+
 // TestAblationCacheReuse checks that the ablation path shares the suite's
 // cache identity scheme: a sweep cell that matches a prior run (same
 // config fingerprint, program, seed) is a hit, not a re-simulation.

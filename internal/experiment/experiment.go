@@ -18,6 +18,7 @@
 package experiment
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"frontsim/internal/asmdb"
@@ -274,10 +275,41 @@ type planKey struct {
 	ExecSeed      uint64        `json:"exec_seed"`
 }
 
-// planEntry is the cached plan value.
+// planEntry is the cached plan value. Its JSON form holds the plan in
+// asmdb's compact binary form (base64 inside JSON), a quarter the size of
+// the Plan's own JSON and decoded without reflection. An entry cached in
+// the earlier object-shaped form fails to decode and so is a miss, which
+// recomputes and overwrites it; no schema bump is needed.
 type planEntry struct {
-	Plan        *asmdb.Plan `json:"plan"`
-	StaticBloat float64     `json:"static_bloat"`
+	Plan        *asmdb.Plan
+	StaticBloat float64
+}
+
+// planEntryJSON is planEntry's stored shape.
+type planEntryJSON struct {
+	Plan        []byte  `json:"plan"`
+	StaticBloat float64 `json:"static_bloat"`
+}
+
+func (e planEntry) MarshalJSON() ([]byte, error) {
+	plan, err := e.Plan.AppendBinary(nil)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(planEntryJSON{Plan: plan, StaticBloat: e.StaticBloat})
+}
+
+func (e *planEntry) UnmarshalJSON(data []byte) error {
+	var in planEntryJSON
+	if err := json.Unmarshal(data, &in); err != nil {
+		return err
+	}
+	plan := new(asmdb.Plan)
+	if err := plan.UnmarshalBinary(in.Plan); err != nil {
+		return err
+	}
+	e.Plan, e.StaticBloat = plan, in.StaticBloat
+	return nil
 }
 
 // matrixKeys precomputes the cache identities of a workload's runs. All of

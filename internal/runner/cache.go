@@ -22,7 +22,7 @@ import (
 // A nil *Cache is valid and behaves as an always-miss, discard-writes
 // cache, which is how -no-cache is implemented.
 type Cache struct {
-	dir               string
+	dir                string
 	hits, misses, puts atomic.Int64
 }
 
@@ -82,17 +82,35 @@ func (c *Cache) Get(key, out any) (bool, error) {
 		c.misses.Add(1)
 		return false, nil
 	}
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil || !bytes.Equal(env.Key, keyJSON) {
-		c.misses.Add(1)
-		return false, nil
-	}
-	if err := json.Unmarshal(env.Value, out); err != nil {
+	value, ok := envelopeValue(raw, keyJSON)
+	if !ok || json.Unmarshal(value, out) != nil {
 		c.misses.Add(1)
 		return false, nil
 	}
 	c.hits.Add(1)
 	return true, nil
+}
+
+// envelopeValue returns the value of raw if raw is exactly the envelope
+// Put writes for keyJSON: `{"key":` keyJSON `,"value":` value `}`. Put's
+// json.Marshal copies both raw messages verbatim, since they are already
+// compact and escaped the way json.Marshal escapes, so matching the key
+// prefix byte for byte is the same test as decoding the envelope and
+// comparing its key, without scanning the value twice more. Anything else,
+// a re-indented or trailing-newline copy included, is not ok.
+func envelopeValue(raw, keyJSON []byte) ([]byte, bool) {
+	const head, sep, tail = `{"key":`, `,"value":`, `}`
+	rest, ok := bytes.CutPrefix(raw, []byte(head))
+	if ok {
+		rest, ok = bytes.CutPrefix(rest, keyJSON)
+	}
+	if ok {
+		rest, ok = bytes.CutPrefix(rest, []byte(sep))
+	}
+	if ok {
+		rest, ok = bytes.CutSuffix(rest, []byte(tail))
+	}
+	return rest, ok
 }
 
 // Test seams for fault injection: the durability tests swap these to

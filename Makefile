@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-strict test race audit vet check obs-smoke ff-smoke serve-smoke batch-smoke cluster-smoke prefetch-smoke sampling-smoke cover
+.PHONY: all build lint lint-strict test race audit vet check obs-smoke ff-smoke serve-smoke cluster-smoke prefetch-smoke sampling-smoke cover
 
 all: check
 
@@ -107,23 +107,6 @@ serve-smoke:
 	test -s /tmp/frontsim-serve-smoke/final.prom
 	@echo "serve-smoke: coalescing, backpressure, byte-identity, and graceful drain verified"
 
-# batch-smoke proves lockstep batching is invisible end to end: the same
-# cold suite run with -batch on and off must print byte-identical tables
-# AND leave byte-identical run-cache directories (same file names, same
-# bytes) — batching never leaks into results or cache identity.
-batch-smoke:
-	rm -rf /tmp/frontsim-batch-smoke && mkdir -p /tmp/frontsim-batch-smoke
-	$(GO) build -o /tmp/frontsim-batch-smoke/experiments ./cmd/experiments
-	/tmp/frontsim-batch-smoke/experiments -n 2 -warmup 50000 -instrs 150000 -profile 200000 \
-		-cache /tmp/frontsim-batch-smoke/cache-batch -batch=true -quiet \
-		> /tmp/frontsim-batch-smoke/batch.txt
-	/tmp/frontsim-batch-smoke/experiments -n 2 -warmup 50000 -instrs 150000 -profile 200000 \
-		-cache /tmp/frontsim-batch-smoke/cache-solo -batch=false -quiet \
-		> /tmp/frontsim-batch-smoke/solo.txt
-	diff /tmp/frontsim-batch-smoke/batch.txt /tmp/frontsim-batch-smoke/solo.txt
-	diff -r /tmp/frontsim-batch-smoke/cache-batch /tmp/frontsim-batch-smoke/cache-solo
-	@echo "batch-smoke: tables and cache dirs byte-identical with batching on/off"
-
 # cluster-smoke proves sharded cluster mode end to end, in-process with
 # real execution: 3 nodes, an overlapping 48-request storm where every
 # duplicate lands on a NON-home node, asserting cross-node singleflight
@@ -207,4 +190,4 @@ cover:
 	$(GO) test -count=1 -coverprofile=/tmp/frontsim-cover.out -covermode=atomic ./internal/...
 	$(GO) tool cover -func=/tmp/frontsim-cover.out | tail -1
 
-check: vet build lint-strict race audit obs-smoke ff-smoke serve-smoke batch-smoke cluster-smoke prefetch-smoke sampling-smoke
+check: vet build lint-strict race audit obs-smoke ff-smoke serve-smoke cluster-smoke prefetch-smoke sampling-smoke

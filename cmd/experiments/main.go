@@ -55,7 +55,6 @@ func main() {
 		quiet    = flag.Bool("quiet", false, "suppress progress output")
 		audit    = flag.Bool("audit", false, "check simulator invariants every cycle (FTQ cycle conservation, ordering); panics with a repro dump on violation")
 		fastFwd  = flag.Bool("fast-forward", true, "event-driven cycle skipping (byte-identical results; =false forces cycle-by-cycle)")
-		batch    = flag.Bool("batch", true, "lockstep-batch cold cells sharing a workload stream (byte-identical results; =false forces one run per cell)")
 		obsOn    = flag.Bool("obs", false, "record observability bundles per live run plus suite metrics.json/metrics.prom")
 		obsDir   = flag.String("obs-dir", filepath.Join("results", "obs"), "directory for -obs output files")
 		obsStrd  = flag.Int64("obs-stride", 64, "cycles between time-series samples under -obs")
@@ -77,7 +76,6 @@ func main() {
 	}
 	p.Audit = *audit
 	p.FastForward = *fastFwd
-	p.Batch = *batch
 	if *sampInt > 0 {
 		p.Sampling = core.SamplingConfig{
 			IntervalInstrs: *sampInt,
@@ -208,6 +206,9 @@ func serveDebug(ctx context.Context, ln net.Listener, col *obs.SuiteCollector) e
 }
 
 func run(figure, table int, ablation, ext string, n int, p experiment.Params, csvDir string, quiet bool, sampValidate bool) error {
+	if n < 1 {
+		return fmt.Errorf("-n %d: need at least one workload", n)
+	}
 	specs := workload.All()
 	if n < len(specs) {
 		specs = specs[:n]

@@ -54,6 +54,17 @@ func TestRunUnknownAblation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonPositiveN pins the -n bound: a negative count would
+// panic slicing the suite, and zero would run an empty suite.
+func TestRunRejectsNonPositiveN(t *testing.T) {
+	for _, n := range []int{-1, 0} {
+		err := run(0, 0, "", "", n, tinyParams(), "", true, false)
+		if err == nil || !strings.Contains(err.Error(), "-n") {
+			t.Errorf("n=%d: err %v, want an error naming -n", n, err)
+		}
+	}
+}
+
 func TestRunUnknownExtension(t *testing.T) {
 	if err := run(0, 0, "", "nope", 1, tinyParams(), "", true, false); err == nil {
 		t.Fatal("accepted unknown extension")

@@ -10,10 +10,10 @@
 // wall-clock or unseeded randomness leaking into simulated state, no exact
 // float comparison on derived statistics, and a Config fingerprint that
 // covers every field the canonical Stats JSON depends on. The concurrency
-// suite (ctxflow.go, lockdisc.go, goroleak.go) guards the serving/batch
-// layers' cancellation and locking contracts, and fpexclude.go gates the
-// fingerprint-neutrality registry that keeps observational knobs provably
-// byte-neutral to cached results.
+// suite (ctxflow.go, lockdisc.go, goroleak.go) guards the serving and
+// runner layers' cancellation and locking contracts, and fpexclude.go
+// gates the fingerprint-neutrality registry that keeps observational knobs
+// provably byte-neutral to cached results.
 //
 // Suppression: a diagnostic is silenced by a `//lint:allow <reason>`
 // comment on the flagged line or on the line directly above it. The reason

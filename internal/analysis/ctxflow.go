@@ -10,10 +10,10 @@ import (
 // context (context.Background / context.TODO) is banned outright, not just
 // inside ctx-bearing functions: these packages sit on the request and run
 // paths — the serving layer, the scheduler, the cycle loop, the cell
-// harness and the stream fan-out — where a detached root context severs
-// the cancellation chain the serve layer's never-torn / never-cached abort
-// guarantees depend on. Entry points (cmd/, examples/) legitimately mint
-// roots and are not listed.
+// harness and the instruction-stream sources — where a detached root
+// context severs the cancellation chain the serve layer's never-torn /
+// never-cached abort guarantees depend on. Entry points (cmd/, examples/)
+// legitimately mint roots and are not listed.
 var ctxflowRootBan = []string{
 	"internal/serve",
 	"internal/runner",

@@ -343,7 +343,7 @@ func (s *Sim) sample() {
 // Run simulates until MaxInstrs program instructions retire after warmup,
 // or the source drains. It returns the measured statistics. Run is the
 // non-cancellable compatibility surface; anything that can be abandoned
-// (the serve layer, batch members) calls RunCtx.
+// (the serve layer) calls RunCtx.
 func (s *Sim) Run() (Stats, error) {
 	return s.RunCtx(context.Background()) //lint:allow ctx-less wrapper by contract: callers with a lifetime use RunCtx
 }
@@ -360,9 +360,7 @@ const cancelCheckInterval = 4096
 const idleLimit = 1_000_000
 
 // runState carries the per-run loop accounting — wedge detection and
-// cancellation-poll pacing — outside the Sim so the lockstep batch driver
-// (RunBatch) can interleave many sims through the identical loop body
-// without perturbing any of them.
+// cancellation-poll pacing — for one RunCtx loop.
 type runState struct {
 	idle        cache.Cycle
 	sinceCheck  int
@@ -377,9 +375,8 @@ func newRunState(ctx context.Context) runState {
 // (which performs the warmup flip), the cancellation poll, one Step or
 // StepN, and idle/wedge accounting. It reports done=true when the run's
 // termination condition has been reached (call finishRun next), and a
-// non-nil error on cancellation or a wedged pipeline. RunCtx and RunBatch
-// both drive runs exclusively through this body, which is what makes
-// batched and solo runs bit-identical per member.
+// non-nil error on cancellation or a wedged pipeline. RunCtx drives every
+// run exclusively through this body.
 func (s *Sim) advance(ctx context.Context, rs *runState) (bool, error) {
 	if s.Done() {
 		return true, nil
@@ -414,9 +411,9 @@ func (s *Sim) advance(ctx context.Context, rs *runState) (bool, error) {
 	return false, nil
 }
 
-// finishRun is the run epilogue shared by RunCtx and RunBatch: surface a
-// real source failure, fall back to measuring the whole run when the
-// source ended during warmup, and snapshot.
+// finishRun is RunCtx's run epilogue: surface a real source failure, fall
+// back to measuring the whole run when the source ended during warmup,
+// and snapshot.
 func (s *Sim) finishRun() (Stats, error) {
 	if err := s.fe.Err(); err != nil && !errors.Is(err, trace.ErrEnd) {
 		return Stats{}, fmt.Errorf("core: source failed: %w", err)

@@ -12,9 +12,11 @@ import (
 	"frontsim/internal/isa"
 )
 
-// FingerprintSchema versions the canonical serialized form of Config. Bump
-// it whenever Config's shape, the simulator's cycle-level semantics, or
-// the Stats value schema change, so stale run-cache entries
+// FingerprintSchema is the one schema version of the run cache: it
+// versions the canonical serialized form of Config, and internal/experiment
+// stamps it into every run-cache key (simKey, planKey). Bump it whenever
+// Config's shape, the simulator's cycle-level semantics, the Stats value
+// schema, or the cache-key layout change, so stale run-cache entries
 // (internal/runner) stop matching.
 //
 // Schema history:

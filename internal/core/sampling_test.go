@@ -174,22 +174,6 @@ func TestSampledFastForwardEquivalence(t *testing.T) {
 	}
 }
 
-// TestSampledBatchEquivalence pins lockstep batching over sampled members:
-// each member's stats must be byte-identical to its solo run, including a
-// mixed batch of sampled and exact members over one shared stream.
-func TestSampledBatchEquivalence(t *testing.T) {
-	prog, seed := batchProg(t, "secret_int_44")
-	sampled := sampledConfig("s-batch")
-	sampledFF := sampledConfig("s-batch-ff")
-	sampledFF.FastForward = true
-	exact := smallConfig("x-batch", false)
-	runBatchVsSolo(t, prog, seed, []memberSpec{
-		{cfg: sampled},
-		{cfg: sampledFF},
-		{cfg: exact},
-	})
-}
-
 // TestSampledSourceDrainMidWindow: a source that drains inside a detailed
 // window must discard the partial window (TruncatedWindows) and terminate
 // cleanly, never averaging a short window into the estimate.

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"frontsim/internal/asmdb"
@@ -19,7 +18,7 @@ import (
 // baseSimKey is the cache identity of a run of cfg against the workload's
 // unmodified program.
 func baseSimKey(spec workload.Spec, p Params, c core.Config) simKey {
-	return simKey{Schema: cacheSchema, Kind: "sim", Workload: spec,
+	return simKey{Schema: core.FingerprintSchema, Kind: "sim", Workload: spec,
 		Program: progBase, Config: c.Fingerprint(), ExecSeed: spec.Seed ^ p.ExecSeedSalt}
 }
 
@@ -34,15 +33,7 @@ func runCachedSim(p Params, key simKey, c core.Config, prog *program.Program) (c
 		p.obsRecord(&st, key.Workload.Name, c.Name)
 		return st, nil
 	}
-	if p.ObsRun != nil {
-		c.Obs = p.ObsRun(key.Workload.Name, c.Name)
-	}
-	st, err := core.RunSource(c, program.NewExecutor(prog, key.ExecSeed))
-	if cl, ok := c.Obs.(io.Closer); ok {
-		if cerr := cl.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("closing observer: %w", cerr)
-		}
-	}
+	st, err := p.simulate(c, prog, key.ExecSeed, key.Workload.Name, c.Name)
 	if err != nil {
 		return st, err
 	}
@@ -79,10 +70,9 @@ func speedupCell(st, base core.Stats) string {
 
 // sweep runs one configuration grid — cells[si][ci] for spec si and
 // configuration ci — through the runner pool. Each spec's cells are
-// probed against the cache first (warm cells are recorded immediately
-// and never join a batch; a fully warm spec skips even building its
-// program); the cold remainder runs as one lockstep batch over the
-// spec's shared stream, or as per-cell stealable jobs with batching off.
+// probed against the cache first (warm cells are recorded immediately; a
+// fully warm spec skips even building its program); every cold cell then
+// runs as its own stealable pool job.
 // mkCfg must be pure: it is called once per cell on an arbitrary worker.
 func sweep(specs []workload.Spec, nCfg int, p Params, mkCfg func(spec workload.Spec, ci int) core.Config) ([][]core.Stats, error) {
 	if err := p.Validate(); err != nil {
@@ -96,7 +86,7 @@ func sweep(specs []workload.Spec, nCfg int, p Params, mkCfg func(spec workload.S
 		si, spec := si, spec
 		out[si] = make([]core.Stats, nCfg)
 		g.Go(func() error {
-			var cells []batchCell
+			var cells []coldCell
 			for ci := 0; ci < nCfg; ci++ {
 				ci := ci
 				c := mkCfg(spec, ci)
@@ -112,7 +102,7 @@ func sweep(specs []workload.Spec, nCfg int, p Params, mkCfg func(spec workload.S
 					out[si][ci] = st
 					continue
 				}
-				cells = append(cells, batchCell{
+				cells = append(cells, coldCell{
 					cfg: c,
 					wl:  spec.Name, series: c.Name,
 					label: fmt.Sprintf("%s cell %d", spec.Name, ci),
@@ -135,7 +125,7 @@ func sweep(specs []workload.Spec, nCfg int, p Params, mkCfg func(spec workload.S
 			}
 			execSeed := spec.Seed ^ p.ExecSeedSalt
 			sub := pool.NewGroup()
-			dispatchCells(sub, p, prog, execSeed, cells)
+			goColdCells(sub, p, prog, execSeed, cells)
 			return sub.Wait()
 		})
 	}

@@ -92,7 +92,7 @@ func TestCacheGoldenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(enc, want) {
-		t.Fatalf("Matrix encoding drifted from golden file (run with -update after bumping cacheSchema):\n got: %s\nwant: %s", enc, want)
+		t.Fatalf("Matrix encoding drifted from golden file (run with -update after bumping core.FingerprintSchema):\n got: %s\nwant: %s", enc, want)
 	}
 
 	// The golden bytes must decode strictly: an unknown field in the file

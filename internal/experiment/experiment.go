@@ -20,6 +20,7 @@ package experiment
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"frontsim/internal/asmdb"
 	"frontsim/internal/bpu"
@@ -79,8 +80,8 @@ type Params struct {
 	// cycle-stepped runs share cache entries. DefaultParams turns it on.
 	FastForward bool `json:"-"`
 	// Sampling selects SMARTS-style sampled simulation
-	// (core.Config.Sampling) for every simulated cell. Unlike Audit,
-	// FastForward and Batch it is *semantic*: the sampling geometry is part
+	// (core.Config.Sampling) for every simulated cell. Unlike Audit and
+	// FastForward it is *semantic*: the sampling geometry is part
 	// of every config fingerprint, so sampled and exact cells never share
 	// run-cache entries, and sampled Stats carry the per-window CPI
 	// estimate (core.SamplingStats) the tables render as ± confidence
@@ -91,16 +92,6 @@ type Params struct {
 	// across rewritten programs, where sampling noise would feed back into
 	// plan selection.
 	Sampling core.SamplingConfig
-	// Batch groups a workload's cold cells into one lockstep batch job:
-	// the instruction stream is generated and decoded once per workload
-	// and fanned out to every cold config's simulator (trace.Fanout +
-	// core.RunBatch). Purely an execution strategy: per-cell cache
-	// identities, fingerprints and results are byte-identical with it on
-	// or off (TestBatchEquivalence), so it is excluded from serialized
-	// keys and batched and per-cell runs share cache entries. Warm cells
-	// are served from the cache and never join a batch. DefaultParams
-	// turns it on.
-	Batch bool `json:"-"`
 }
 
 // obsRecord exports one cell's metrics to the suite collector.
@@ -123,7 +114,6 @@ func DefaultParams() Params {
 		AsmDB:         asmdb.DefaultOptions(),
 		ExecSeedSalt:  0x5eed5eed5eed5eed,
 		FastForward:   true,
-		Batch:         true,
 	}
 }
 
@@ -221,22 +211,6 @@ func (m *Matrix) seriesPtr(id seriesID) *core.Stats {
 	panic(fmt.Sprintf("experiment: series %d", id))
 }
 
-// cacheSchema versions the run-cache key layout. Bump together with
-// core.FingerprintSchema when key semantics change. Schema 2: ftq.Stats
-// gained the per-cycle scenario partition, changing the cached Stats value
-// shape. Schema 3: core.Stats gained WarmupOvershoot. Schema 4: the run
-// loop gained the event-driven fast-forward path; entries written by
-// pre-fast-forward binaries are retired rather than reused across the
-// semantics boundary (TestStaleSchemaEntryRejected). Schema 5: the
-// mechanism matrix — MANA, shadow-branch decoding, and the I-TLB became
-// config dimensions and Stats gained their counter blocks, so schema-4
-// entries decode with those counters silently zero and are retired.
-// Schema 6: sampled simulation — core.Config.Sampling joined the
-// fingerprinted canonical form (sampled and exact runs must never share
-// entries) and core.Stats gained the optional Sampling estimate block, so
-// schema-5 entries are retired across the value-shape boundary.
-const cacheSchema = 6
-
 // Program-variant tags in run-cache keys. The config fingerprint cannot
 // see which instruction stream it runs against, so the key must.
 const (
@@ -250,7 +224,8 @@ const (
 // runs (rewritten programs, trigger tables) the plan's full provenance —
 // AsmDB options, profile budget, and the fingerprint of the configuration
 // whose IPC seeds the profiler — stands in for the plan content, because
-// planning is a deterministic function of that provenance.
+// planning is a deterministic function of that provenance. Schema is
+// core.FingerprintSchema, the run cache's single version.
 type simKey struct {
 	Schema        int            `json:"schema"`
 	Kind          string         `json:"kind"`
@@ -394,7 +369,7 @@ func newMatrixKeys(spec workload.Spec, p Params) (matrixKeys, error) {
 	opts := p.AsmDB
 
 	base := func(cfgFP string) simKey {
-		return simKey{Schema: cacheSchema, Kind: "sim", Workload: spec,
+		return simKey{Schema: core.FingerprintSchema, Kind: "sim", Workload: spec,
 			Program: progBase, Config: cfgFP, ExecSeed: seed}
 	}
 	planned := func(prog, cfgFP string) simKey {
@@ -416,7 +391,7 @@ func newMatrixKeys(spec workload.Spec, p Params) (matrixKeys, error) {
 	mk.series[serMANAFDP] = base(manaFP)
 	mk.series[serShadowFDP] = base(shadowFP)
 	mk.series[serITLBFDP] = base(itlbFP)
-	mk.plan = planKey{Schema: cacheSchema, Kind: "plan", Workload: spec,
+	mk.plan = planKey{Schema: core.FingerprintSchema, Kind: "plan", Workload: spec,
 		AsmDB: opts, ProfileInstrs: p.ProfileInstrs, ProfileConfig: consFP, ExecSeed: seed}
 	return mk, nil
 }
@@ -477,10 +452,10 @@ func runMatrixPooled(pool *runner.Pool, spec workload.Spec, index int, p Params,
 	}
 	execSeed := spec.Seed ^ p.ExecSeedSalt
 
-	// seriesCell wraps one cold series as a batchCell; its commit is the
-	// exact post-run sequence the historical per-series jobs performed.
-	seriesCell := func(id seriesID, c core.Config) batchCell {
-		return batchCell{
+	// seriesCell wraps one cold series; its commit fills the matrix slot,
+	// stores the result, records its metrics and reports progress.
+	seriesCell := func(id seriesID, c core.Config) coldCell {
+		return coldCell{
 			cfg: c,
 			wl:  spec.Name, series: seriesLabels[id],
 			label: spec.Name + " " + seriesLabels[id],
@@ -496,12 +471,11 @@ func runMatrixPooled(pool *runner.Pool, spec workload.Spec, index int, p Params,
 		}
 	}
 
-	// Wave 1: runs against the unmodified program — one lockstep batch
-	// over a shared stream when batching is on. The conservative baseline
-	// doubles as the profiling IPC source, as the paper profiles on the
-	// pre-FDP machine AsmDB's authors evaluated.
+	// Wave 1: runs against the unmodified program. The conservative
+	// baseline doubles as the profiling IPC source, as the paper profiles
+	// on the pre-FDP machine AsmDB's authors evaluated.
 	g := pool.NewGroup()
-	var w1 []batchCell
+	var w1 []coldCell
 	if !have[serCons] {
 		w1 = append(w1, seriesCell(serCons, p.consConfig()))
 	}
@@ -528,7 +502,7 @@ func runMatrixPooled(pool *runner.Pool, spec workload.Spec, index int, p Params,
 	if !have[serITLBFDP] {
 		w1 = append(w1, seriesCell(serITLBFDP, p.itlbConfig()))
 	}
-	dispatchCells(g, p, prog, execSeed, w1)
+	goColdCells(g, p, prog, execSeed, w1)
 	if err := g.Wait(); err != nil {
 		return nil, err
 	}
@@ -551,9 +525,8 @@ func runMatrixPooled(pool *runner.Pool, spec workload.Spec, index int, p Params,
 	}
 
 	// Wave 2: runs that need the plan — the rewritten program for the
-	// insertion-overhead series, the trigger table for the ideal ones.
-	// Two distinct instruction streams, so two batches: cells over the
-	// rewritten program, and trigger-table cells over the base program.
+	// insertion-overhead series, the trigger table (over the base
+	// program) for the ideal ones.
 	if needPlanned {
 		rewritten, _, err := asmdb.Apply(prog, m.Plan)
 		if err != nil {
@@ -565,7 +538,7 @@ func runMatrixPooled(pool *runner.Pool, spec workload.Spec, index int, p Params,
 			return c
 		}
 		g = pool.NewGroup()
-		var rw, trg []batchCell
+		var rw, trg []coldCell
 		if !have[serAsmdbCons] {
 			rw = append(rw, seriesCell(serAsmdbCons, p.consConfig()))
 		}
@@ -578,13 +551,57 @@ func runMatrixPooled(pool *runner.Pool, spec workload.Spec, index int, p Params,
 		if !have[serAsmdbFDPIdeal] {
 			trg = append(trg, seriesCell(serAsmdbFDPIdeal, withTriggers(p.fdpConfig())))
 		}
-		dispatchCells(g, p, rewritten, execSeed, rw)
-		dispatchCells(g, p, prog, execSeed, trg)
+		goColdCells(g, p, rewritten, execSeed, rw)
+		goColdCells(g, p, prog, execSeed, trg)
 		if err := g.Wait(); err != nil {
 			return nil, err
 		}
 	}
 	return m, nil
+}
+
+// coldCell is one cache-missed simulation cell queued against a
+// workload's program. Warm cells are served from the cache by the
+// planners (runMatrixPooled, sweep) and never become cold cells.
+type coldCell struct {
+	cfg core.Config
+	// wl and series key the observability hooks (Params.ObsRun and the
+	// suite collector).
+	wl, series string
+	// label prefixes errors ("workload series: ...").
+	label string
+	// commit publishes the finished stats: result slot, cache put, obs
+	// record and, for matrix cells, the progress line.
+	commit func(core.Stats) error
+}
+
+// goColdCells submits each cold cell to g as its own stealable pool job,
+// which simulates the cell over a fresh executor of prog and commits it.
+func goColdCells(g *runner.Group, p Params, prog *program.Program, execSeed uint64, cells []coldCell) {
+	for _, cell := range cells {
+		g.Go(func() error {
+			st, err := p.simulate(cell.cfg, prog, execSeed, cell.wl, cell.series)
+			if err != nil {
+				return fmt.Errorf("%s: %w", cell.label, err)
+			}
+			return cell.commit(st)
+		})
+	}
+}
+
+// simulate runs c over a fresh executor of prog, attaching the per-run
+// observer Params.ObsRun supplies for (wl, series) and closing it after.
+func (p Params) simulate(c core.Config, prog *program.Program, execSeed uint64, wl, series string) (core.Stats, error) {
+	if p.ObsRun != nil {
+		c.Obs = p.ObsRun(wl, series)
+	}
+	st, err := core.RunSource(c, program.NewExecutor(prog, execSeed))
+	if cl, ok := c.Obs.(io.Closer); ok {
+		if cerr := cl.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("closing observer: %w", cerr)
+		}
+	}
+	return st, err
 }
 
 // RunSuite runs matrices for every spec, in parallel, preserving order.

@@ -86,9 +86,9 @@ func TestSamplingCacheDisjoint(t *testing.T) {
 }
 
 // TestSamplingConformance crosses the sampled run mode with the suite's
-// execution-strategy toggles — fast-forward, lockstep batching, audit —
-// and requires byte-identical matrices from every combination. Each run
-// uses a cold cache so nothing is served across combinations.
+// execution-strategy toggles — fast-forward and audit — and requires
+// byte-identical matrices from every combination. Each run uses a cold
+// cache so nothing is served across combinations.
 func TestSamplingConformance(t *testing.T) {
 	spec, ok := workload.Lookup("public_srv_60")
 	if !ok {
@@ -96,19 +96,17 @@ func TestSamplingConformance(t *testing.T) {
 	}
 	type combo struct {
 		name      string
-		ff, batch bool
-		audit     bool
+		ff, audit bool
 	}
 	combos := []combo{
-		{"ff+batch", true, true, false},
-		{"plain", false, false, false},
-		{"ff-only", true, false, false},
-		{"batch-audit", false, true, true},
+		{"plain", false, false},
+		{"ff-only", true, false},
+		{"audit", false, true},
 	}
 	var ref *Matrix
 	for _, cb := range combos {
 		p := sampledParams()
-		p.FastForward, p.Batch, p.Audit = cb.ff, cb.batch, cb.audit
+		p.FastForward, p.Audit = cb.ff, cb.audit
 		c, err := runner.OpenCache(t.TempDir())
 		if err != nil {
 			t.Fatal(err)

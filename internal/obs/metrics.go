@@ -56,8 +56,9 @@ func (ms *MetricSet) Add(m Metric) {
 // Sort orders the set by series key (name, then labels), breaking ties
 // on value. The order is total up to byte-identical points, so a set's
 // serialization depends only on its contents — collectors fed the same
-// points in any order (e.g. batched vs per-cell suite execution) export
-// identical bytes even when distinct cells share a series key.
+// points in any order (e.g. cells finishing in a different order on a
+// work-stealing pool) export identical bytes even when distinct cells
+// share a series key.
 func (ms MetricSet) Sort() {
 	sort.Slice(ms, func(i, j int) bool {
 		ki, kj := ms[i].seriesKey(), ms[j].seriesKey()

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // ErrPoolClosed is returned (via Group.Wait) for tasks submitted after
@@ -44,8 +43,6 @@ type Pool struct {
 	queued int // tasks currently queued across all deques
 	closed bool
 	wg     sync.WaitGroup
-
-	executed atomic.Int64 // tasks run to completion (or panic) since creation
 }
 
 // NewPool starts a pool with the given number of workers (<=0 means
@@ -67,12 +64,6 @@ func NewPool(workers int) *Pool {
 
 // Workers returns the worker count.
 func (p *Pool) Workers() int { return len(p.deques) }
-
-// JobsExecuted returns the number of tasks the pool has run since
-// creation. It measures scheduling granularity — a lockstep batch counts
-// as one job regardless of how many cells it carries — which is what the
-// batch-composition tests assert on.
-func (p *Pool) JobsExecuted() int64 { return p.executed.Load() }
 
 // Close stops the workers once every queued task has drained. Close is
 // idempotent: concurrent or repeated calls all block until the workers
@@ -156,7 +147,6 @@ func (p *Pool) run(t *task) {
 	panicked := true
 	var err error
 	defer func() {
-		p.executed.Add(1)
 		p.mu.Lock()
 		t.g.active--
 		if panicked && t.g.err == nil {

@@ -81,7 +81,11 @@ ff-smoke:
 # duplicates of one cell + 8 distinct); the service's counters must show
 # coalescing (executions < requests); every response must byte-match the
 # experiments cache entry at its fingerprint; and SIGTERM must drain,
-# flush metrics, and exit 0.
+# flush metrics, and exit 0. A second burst on the same simd serves the
+# plan-derived asmdb-ideal+fdp24 series the same way, so a cell that
+# needs the baseline, the profile and the plan goes through simd too;
+# the executed counter is cumulative, and the two bursts' at most 18
+# executions stay below the second burst's 32 requests.
 serve-smoke:
 	rm -rf /tmp/frontsim-serve-smoke && mkdir -p /tmp/frontsim-serve-smoke
 	$(GO) build -o /tmp/frontsim-serve-smoke/experiments ./cmd/experiments
@@ -98,6 +102,11 @@ serve-smoke:
 	trap "kill $$SIMD_PID 2>/dev/null" EXIT; \
 	sleep 1; \
 	/tmp/frontsim-serve-smoke/serveclient -addr http://127.0.0.1:18091 \
+		-dup 24 -distinct 8 -warmup 20000 -instrs 60000 -profile 80000 \
+		-verify-cache /tmp/frontsim-serve-smoke/expcache \
+		|| { cat /tmp/frontsim-serve-smoke/simd.log; exit 1; }; \
+	/tmp/frontsim-serve-smoke/serveclient -addr http://127.0.0.1:18091 \
+		-series asmdb-ideal+fdp24 \
 		-dup 24 -distinct 8 -warmup 20000 -instrs 60000 -profile 80000 \
 		-verify-cache /tmp/frontsim-serve-smoke/expcache \
 		|| { cat /tmp/frontsim-serve-smoke/simd.log; exit 1; }; \

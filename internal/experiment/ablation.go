@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -14,32 +15,6 @@ import (
 	"frontsim/internal/trace"
 	"frontsim/internal/workload"
 )
-
-// baseSimKey is the cache identity of a run of cfg against the workload's
-// unmodified program.
-func baseSimKey(spec workload.Spec, p Params, c core.Config) simKey {
-	return simKey{Schema: core.FingerprintSchema, Kind: "sim", Workload: spec,
-		Program: progBase, Config: c.Fingerprint(), ExecSeed: spec.Seed ^ p.ExecSeedSalt}
-}
-
-// runCachedSim executes one configuration against prog, consulting and
-// filling p.Cache under key. This is the single execution path every
-// ablation cell shares with the suite's matrix jobs.
-func runCachedSim(p Params, key simKey, c core.Config, prog *program.Program) (core.Stats, error) {
-	var st core.Stats
-	if ok, err := p.Cache.Get(key, &st); err != nil {
-		return st, err
-	} else if ok {
-		p.obsRecord(&st, key.Workload.Name, c.Name)
-		return st, nil
-	}
-	st, err := p.simulate(c, prog, key.ExecSeed, key.Workload.Name, c.Name)
-	if err != nil {
-		return st, err
-	}
-	p.obsRecord(&st, key.Workload.Name, c.Name)
-	return st, p.Cache.Put(key, st)
-}
 
 // ipcCell renders a table IPC cell. Exact runs print the plain value;
 // sampled runs append the 95% confidence half-width on the IPC estimate,
@@ -69,52 +44,46 @@ func speedupCell(st, base core.Stats) string {
 }
 
 // sweep runs one configuration grid — cells[si][ci] for spec si and
-// configuration ci — through the runner pool. Each spec's cells are
-// probed against the cache first (warm cells are recorded immediately; a
-// fully warm spec skips even building its program); every cold cell then
-// runs as its own stealable pool job.
+// column ci, built by mkCfg and stamped with p's budgets and run modes —
+// through the runner pool. Each spec's cells are probed against the cache
+// first (warm cells are recorded immediately; a fully warm spec skips even
+// building its program); the cold ones then run through Params.runCells.
+// labels[ci] names column ci's cells in observability sinks, metric labels
+// and errors, so it must be unique within the grid.
 // mkCfg must be pure: it is called once per cell on an arbitrary worker.
-func sweep(specs []workload.Spec, nCfg int, p Params, mkCfg func(spec workload.Spec, ci int) core.Config) ([][]core.Stats, error) {
+func sweep(specs []workload.Spec, labels []string, p Params, mkCfg func(ci int) core.Config) ([][]core.Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	ctx := context.Background() //lint:allow ctx-less wrapper by contract: ablation grids are batch runs nothing cancels; callers with a lifetime use RunConfigCellCtx
 	pool := runner.NewPool(p.Parallelism)
 	defer pool.Close()
 	out := make([][]core.Stats, len(specs))
 	g := pool.NewGroup()
 	for si, spec := range specs {
 		si, spec := si, spec
-		out[si] = make([]core.Stats, nCfg)
+		out[si] = make([]core.Stats, len(labels))
 		g.Go(func() error {
 			var cells []coldCell
-			for ci := 0; ci < nCfg; ci++ {
-				ci := ci
-				c := mkCfg(spec, ci)
-				c.Audit = p.Audit
-				c.FastForward = p.FastForward
-				c.Sampling = p.Sampling
+			for ci, label := range labels {
+				c := p.stamp(mkCfg(ci))
 				key := baseSimKey(spec, p, c)
 				var st core.Stats
 				if ok, err := p.Cache.Get(key, &st); err != nil {
 					return err
 				} else if ok {
-					p.obsRecord(&st, spec.Name, c.Name)
+					p.obsRecord(&st, spec.Name, label)
 					out[si][ci] = st
 					continue
 				}
-				cells = append(cells, coldCell{
-					cfg: c,
-					wl:  spec.Name, series: c.Name,
-					label: fmt.Sprintf("%s cell %d", spec.Name, ci),
-					commit: func(st core.Stats) error {
-						out[si][ci] = st
-						if err := p.Cache.Put(key, st); err != nil {
-							return err
-						}
-						p.obsRecord(&st, spec.Name, c.Name)
-						return nil
-					},
-				})
+				cells = append(cells, coldCell{series: label, cfg: c, commit: func(st core.Stats) error {
+					out[si][ci] = st
+					if err := p.Cache.Put(key, st); err != nil {
+						return err
+					}
+					p.obsRecord(&st, spec.Name, label)
+					return nil
+				}})
 			}
 			if len(cells) == 0 {
 				return nil
@@ -123,10 +92,10 @@ func sweep(specs []workload.Spec, nCfg int, p Params, mkCfg func(spec workload.S
 			if err != nil {
 				return err
 			}
-			execSeed := spec.Seed ^ p.ExecSeedSalt
-			sub := pool.NewGroup()
-			goColdCells(sub, p, prog, execSeed, cells)
-			return sub.Wait()
+			for i := range cells {
+				cells[i].prog = prog
+			}
+			return p.runCells(ctx, pool, spec, cells)
 		})
 	}
 	if err := g.Wait(); err != nil {
@@ -139,11 +108,14 @@ func sweep(specs []workload.Spec, nCfg int, p Params, mkCfg func(spec workload.S
 // and industry-standard endpoints and beyond, reporting IPC speedup over
 // depth 2 for each workload.
 func AblationFTQDepth(specs []workload.Spec, depths []int, p Params) (*stats.Table, error) {
-	res, err := sweep(specs, len(depths), p, func(spec workload.Spec, ci int) core.Config {
+	labels := make([]string, len(depths))
+	for i, d := range depths {
+		labels[i] = fmt.Sprintf("ftq%d", d)
+	}
+	res, err := sweep(specs, labels, p, func(ci int) core.Config {
 		c := core.DefaultConfig()
-		c.Name = fmt.Sprintf("ftq%d", depths[ci])
+		c.Name = labels[ci]
 		c.Frontend.FTQEntries = depths[ci]
-		c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
 		return c
 	})
 	if err != nil {
@@ -188,6 +160,10 @@ func AblationFanout(specs []workload.Spec, thresholds []float64, p Params) (*sta
 		speedup string // rendered by speedupCell (carries ± when sampled)
 		bloat   float64
 	}
+	bases, err := sweep(specs, []string{"fdp24"}, p, func(int) core.Config { return core.DefaultConfig() })
+	if err != nil {
+		return nil, err
+	}
 	res := make([][]cell, len(specs))
 	pool := runner.NewPool(p.Parallelism)
 	defer pool.Close()
@@ -200,18 +176,8 @@ func AblationFanout(specs []workload.Spec, thresholds []float64, p Params) (*sta
 			if err != nil {
 				return err
 			}
-			mk := func() core.Config {
-				c := core.DefaultConfig()
-				c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
-				c.Audit = p.Audit
-				c.FastForward = p.FastForward
-				c.Sampling = p.Sampling
-				return c
-			}
-			base, err := runCachedSim(p, baseSimKey(spec, p, mk()), mk(), prog)
-			if err != nil {
-				return err
-			}
+			mk := func() core.Config { return p.stamp(core.DefaultConfig()) }
+			base := bases[si][0]
 			seed := spec.Seed ^ p.ExecSeedSalt
 			graph, err := cfg.Profile(trace.NewLimit(program.NewExecutor(prog, seed), p.ProfileInstrs), cfg.Options{IPC: base.IPC()})
 			if err != nil {
@@ -277,22 +243,22 @@ func AblationFanout(specs []workload.Spec, thresholds []float64, p Params) (*sta
 // two-level organization (small zero-penalty L1 backed by the full table
 // with a promotion bubble) on the industry front-end.
 func AblationBTB(specs []workload.Spec, l1Entries []int, p Params) (*stats.Table, error) {
-	res, err := sweep(specs, len(l1Entries), p, func(spec workload.Spec, ci int) core.Config {
+	labels := make([]string, len(l1Entries))
+	cols := []string{"workload"}
+	for i, e := range l1Entries {
+		labels[i] = "single"
+		if e > 0 {
+			labels[i] = fmt.Sprintf("l1=%d", e)
+		}
+		cols = append(cols, labels[i]+"-ipc", labels[i]+"-bubbles/Ki")
+	}
+	res, err := sweep(specs, labels, p, func(ci int) core.Config {
 		c := core.DefaultConfig()
 		c.Frontend.BPU.L1BTBEntries = l1Entries[ci]
-		c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
 		return c
 	})
 	if err != nil {
 		return nil, err
-	}
-	cols := []string{"workload"}
-	for _, e := range l1Entries {
-		label := "single"
-		if e > 0 {
-			label = fmt.Sprintf("l1=%d", e)
-		}
-		cols = append(cols, label+"-ipc", label+"-bubbles/Ki")
 	}
 	t := stats.NewTable("Ablation A7: BTB organization on FDP-24", cols...)
 	for si, spec := range specs {
@@ -313,18 +279,19 @@ func AblationBTB(specs []workload.Spec, l1Entries []int, p Params) (*stats.Table
 // depths trade L1-I pollution and bandwidth against incidental next-line
 // coverage.
 func AblationWrongPath(specs []workload.Spec, depths []int, p Params) (*stats.Table, error) {
-	res, err := sweep(specs, len(depths), p, func(spec workload.Spec, ci int) core.Config {
+	labels := make([]string, len(depths))
+	cols := []string{"workload"}
+	for i, d := range depths {
+		labels[i] = fmt.Sprintf("wp=%d", d)
+		cols = append(cols, labels[i]+"-ipc", labels[i]+"-mpki")
+	}
+	res, err := sweep(specs, labels, p, func(ci int) core.Config {
 		c := core.DefaultConfig()
 		c.Frontend.WrongPathDepth = depths[ci]
-		c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
 		return c
 	})
 	if err != nil {
 		return nil, err
-	}
-	cols := []string{"workload"}
-	for _, d := range depths {
-		cols = append(cols, fmt.Sprintf("wp=%d-ipc", d), fmt.Sprintf("wp=%d-mpki", d))
 	}
 	t := stats.NewTable("Ablation A6: wrong-path sequential fetch depth on FDP-24", cols...)
 	for si, spec := range specs {
@@ -345,18 +312,19 @@ func AblationWrongPath(specs []workload.Spec, depths []int, p Params) (*stats.Ta
 // policy-sensitive.
 func AblationReplacement(specs []workload.Spec, p Params) (*stats.Table, error) {
 	policies := []cache.ReplKind{cache.ReplLRU, cache.ReplSRRIP, cache.ReplRandom}
-	res, err := sweep(specs, len(policies), p, func(spec workload.Spec, ci int) core.Config {
+	labels := make([]string, len(policies))
+	cols := []string{"workload"}
+	for i, pol := range policies {
+		labels[i] = pol.String()
+		cols = append(cols, labels[i]+"-ipc", labels[i]+"-mpki")
+	}
+	res, err := sweep(specs, labels, p, func(ci int) core.Config {
 		c := core.DefaultConfig()
 		c.Memory.L1I.Repl = policies[ci]
-		c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
 		return c
 	})
 	if err != nil {
 		return nil, err
-	}
-	cols := []string{"workload"}
-	for _, pol := range policies {
-		cols = append(cols, pol.String()+"-ipc", pol.String()+"-mpki")
 	}
 	t := stats.NewTable("Ablation A5: L1-I replacement policy on FDP-24", cols...)
 	for si, spec := range specs {
@@ -376,10 +344,9 @@ func AblationReplacement(specs []workload.Spec, p Params) (*stats.Table, error) 
 // baseline — quantifying how sensitive the paper's FDP numbers are to
 // predictor quality.
 func AblationPredictor(specs []workload.Spec, p Params) (*stats.Table, error) {
-	res, err := sweep(specs, 2, p, func(spec workload.Spec, ci int) core.Config {
+	res, err := sweep(specs, []string{"tournament", "tage"}, p, func(ci int) core.Config {
 		c := core.DefaultConfig()
 		c.Frontend.BPU.UseTAGE = ci == 1
-		c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
 		return c
 	})
 	if err != nil {
@@ -414,11 +381,11 @@ func AblationFrontend(specs []workload.Spec, p Params) (*stats.Table, error) {
 	combos := []struct {
 		pfc, ghr bool
 	}{{false, false}, {true, false}, {false, true}, {true, true}}
-	res, err := sweep(specs, len(combos), p, func(spec workload.Spec, ci int) core.Config {
+	labels := []string{"neither", "pfc-only", "ghr-filter-only", "both"}
+	res, err := sweep(specs, labels, p, func(ci int) core.Config {
 		c := core.DefaultConfig()
 		c.Frontend.EnablePFC = combos[ci].pfc
 		c.Frontend.BPU.FilterGHR = combos[ci].ghr
-		c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
 		return c
 	})
 	if err != nil {
@@ -426,7 +393,7 @@ func AblationFrontend(specs []workload.Spec, p Params) (*stats.Table, error) {
 	}
 	t := stats.NewTable(
 		"Ablation A3: FDP refinements (IPC speedup over both disabled)",
-		"workload", "neither", "pfc-only", "ghr-filter-only", "both")
+		append([]string{"workload"}, labels...)...)
 	geo := make([][]float64, len(combos))
 	for si, spec := range specs {
 		base := res[si][0].IPC()

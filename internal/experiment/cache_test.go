@@ -18,6 +18,27 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
+// matrixKeys are the run-cache keys of one workload's series, in table
+// order, and of its plan.
+type matrixKeys struct {
+	series [numSeries]simKey
+	plan   planKey
+}
+
+func newMatrixKeys(spec workload.Spec, p Params) (matrixKeys, error) {
+	var mk matrixKeys
+	var err error
+	if mk.plan, err = p.planKeyFor(spec); err != nil {
+		return mk, err
+	}
+	for i := range seriesTable {
+		if mk.series[i], err = seriesTable[i].key(spec, p, mk.plan); err != nil {
+			return mk, err
+		}
+	}
+	return mk, nil
+}
+
 // cannedMatrix is a hand-written Matrix with every layer populated —
 // independent of the simulator, so the golden file below only changes when
 // the serialized shape of Matrix/Stats/Plan changes.
@@ -49,8 +70,8 @@ func cannedMatrix() *Matrix {
 		st.BPU.CondMispredicts = cycles / 500
 		st.DRAMQueueing = 7
 	}
-	for id := seriesID(0); id < numSeries; id++ {
-		fill(m.seriesPtr(id), seriesLabels[id], 100_000+int64(id)*10_000)
+	for id := range seriesTable {
+		fill(seriesTable[id].slot(m), seriesTable[id].label, 100_000+int64(id)*10_000)
 	}
 	// One sampled series pins the optional SamplingStats block's shape in
 	// the golden alongside the exact (nil) ones.
@@ -106,7 +127,7 @@ func TestCacheGoldenRoundTrip(t *testing.T) {
 	}
 
 	// Round trip through the real cache: per-series Stats entries plus the
-	// plan entry, exactly as runMatrixPooled stores them.
+	// plan entry, exactly as runRows stores them.
 	c, err := runner.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +138,8 @@ func TestCacheGoldenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := seriesID(0); id < numSeries; id++ {
-		if err := c.Put(keys.series[id], *m.seriesPtr(id)); err != nil {
+	for id := range seriesTable {
+		if err := c.Put(keys.series[id], *seriesTable[id].slot(m)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,10 +148,10 @@ func TestCacheGoldenRoundTrip(t *testing.T) {
 	}
 
 	got := &Matrix{Spec: m.Spec, Index: m.Index}
-	for id := seriesID(0); id < numSeries; id++ {
-		ok, err := c.Get(keys.series[id], got.seriesPtr(id))
+	for id := range seriesTable {
+		ok, err := c.Get(keys.series[id], seriesTable[id].slot(got))
 		if err != nil || !ok {
-			t.Fatalf("series %s: ok=%v err=%v", seriesLabels[id], ok, err)
+			t.Fatalf("series %s: ok=%v err=%v", seriesTable[id].label, ok, err)
 		}
 	}
 	var pe planEntry
@@ -188,17 +209,17 @@ func TestMatrixWarmCacheByteIdentical(t *testing.T) {
 		t.Fatalf("warm run was not pure cache hits: %+v", m)
 	}
 
-	for id := seriesID(0); id < numSeries; id++ {
-		a, err := cold.seriesPtr(id).CanonicalJSON()
+	for id := range seriesTable {
+		a, err := seriesTable[id].slot(cold).CanonicalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := warm.seriesPtr(id).CanonicalJSON()
+		b, err := seriesTable[id].slot(warm).CanonicalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a, b) {
-			t.Errorf("series %s differs warm vs cold:\n cold %s\n warm %s", seriesLabels[id], a, b)
+			t.Errorf("series %s differs warm vs cold:\n cold %s\n warm %s", seriesTable[id].label, a, b)
 		}
 	}
 	ca, wa := []*Matrix{cold}, []*Matrix{warm}
@@ -250,8 +271,8 @@ func TestStalePlanEntryIsRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := seriesID(0); id < numSeries; id++ {
-		if err := planted.Put(keys.series[id], *cold.seriesPtr(id)); err != nil {
+	for id := range seriesTable {
+		if err := planted.Put(keys.series[id], *seriesTable[id].slot(cold)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,12 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"frontsim/internal/asmdb"
-	"frontsim/internal/cfg"
 	"frontsim/internal/core"
-	"frontsim/internal/program"
 	"frontsim/internal/runner"
-	"frontsim/internal/trace"
 	"frontsim/internal/workload"
 )
 
@@ -26,18 +22,36 @@ import (
 // asmdb+fdp24, asmdb-ideal+fdp24, mana+fdp24, shadow+fdp24, itlb+fdp24.
 func SeriesLabels() []string {
 	out := make([]string, numSeries)
-	copy(out, seriesLabels[:])
+	for i := range seriesTable {
+		out[i] = seriesTable[i].label
+	}
 	return out
 }
 
-// seriesByLabel resolves a series name to its internal id.
-func seriesByLabel(label string) (seriesID, error) {
-	for id := seriesID(0); id < numSeries; id++ {
-		if seriesLabels[id] == label {
-			return id, nil
+// seriesRow resolves a series name to its row of seriesTable.
+func seriesRow(label string) (int, error) {
+	for i := range seriesTable {
+		if seriesTable[i].label == label {
+			return i, nil
 		}
 	}
 	return 0, fmt.Errorf("experiment: unknown series %q (valid: %v)", label, SeriesLabels())
+}
+
+// seriesKey is the run-cache identity of the (workload, series) cell.
+func seriesKey(spec workload.Spec, series string, p Params) (simKey, error) {
+	i, err := seriesRow(series)
+	if err != nil {
+		return simKey{}, err
+	}
+	s := &seriesTable[i]
+	var plan planKey
+	if s.program != progBase {
+		if plan, err = p.planKeyFor(spec); err != nil {
+			return simKey{}, err
+		}
+	}
+	return s.key(spec, p, plan)
 }
 
 // CellResult is one completed simulation cell.
@@ -59,20 +73,17 @@ type CellResult struct {
 // under p without running anything — the coalescing and cache-lookup key
 // of the serving layer.
 func CellAddress(spec workload.Spec, series string, p Params) (string, error) {
-	id, err := seriesByLabel(series)
+	key, err := seriesKey(spec, series, p)
 	if err != nil {
 		return "", err
 	}
-	keys, err := newMatrixKeys(spec, p)
-	if err != nil {
-		return "", err
-	}
-	return runner.Fingerprint(keys.series[id])
+	return runner.Fingerprint(key)
 }
 
-// RunCellCtx produces one (workload, series) cell: from the run cache
-// when warm, otherwise by simulating on pool with ctx plumbed through the
-// scheduler join (runner.Group.WaitCtx) and the cycle loop (core.RunCtx).
+// RunCellCtx produces one (workload, series) cell through the series
+// planner (runRows): from the run cache when warm, otherwise by simulating
+// on pool with ctx plumbed through the scheduler join
+// (runner.Group.WaitCtx) and the cycle loop (core.RunSourceCtx).
 // Plan-derived series (asmdb*, asmdb-ideal*) first materialize their
 // dependencies — the conservative profiling baseline and the AsmDB plan —
 // through the same cache, so a cold cell performs exactly the work the
@@ -86,162 +97,38 @@ func RunCellCtx(ctx context.Context, pool *runner.Pool, spec workload.Spec, seri
 	if err := p.Validate(); err != nil {
 		return CellResult{}, err
 	}
-	id, err := seriesByLabel(series)
+	i, err := seriesRow(series)
 	if err != nil {
 		return CellResult{}, err
 	}
-	keys, err := newMatrixKeys(spec, p)
+	var want [numSeries]bool
+	want[i] = true
+	m := &Matrix{Spec: spec}
+	r, err := runRows(ctx, pool, m, p, want, false, nil)
 	if err != nil {
 		return CellResult{}, err
 	}
-	addr, err := runner.Fingerprint(keys.series[id])
+	addr, err := runner.Fingerprint(r.keys[i])
 	if err != nil {
 		return CellResult{}, err
 	}
-	res := CellResult{Fingerprint: addr}
-	if ok, err := p.Cache.Get(keys.series[id], &res.Stats); err != nil {
-		return CellResult{}, err
-	} else if ok {
-		res.Cached = true
-		p.obsRecord(&res.Stats, spec.Name, series)
-		return res, nil
-	}
-
-	prog, err := spec.Build()
-	if err != nil {
-		return CellResult{}, err
-	}
-	execSeed := spec.Seed ^ p.ExecSeedSalt
-
-	// runOne simulates cfg over target on the pool, joining with ctx, and
-	// caches the result under key.
-	runOne := func(cfgc core.Config, target *program.Program, key simKey) (core.Stats, error) {
-		return runCellSim(ctx, pool, p, spec, cfgc, target, key)
-	}
-
-	switch id {
-	case serCons, serFDP, serEIP, serMANAFDP, serShadowFDP, serITLBFDP:
-		var cfgc core.Config
-		switch id {
-		case serCons:
-			cfgc = p.consConfig()
-		case serFDP:
-			cfgc = p.fdpConfig()
-		case serMANAFDP:
-			if cfgc, err = p.manaConfig(); err != nil {
-				return CellResult{}, err
-			}
-		case serShadowFDP:
-			cfgc = p.shadowConfig()
-		case serITLBFDP:
-			cfgc = p.itlbConfig()
-		default:
-			if cfgc, err = p.eipConfig(); err != nil {
-				return CellResult{}, err
-			}
-		}
-		st, err := runOne(cfgc, prog, keys.series[id])
-		if err != nil {
-			return CellResult{}, err
-		}
-		res.Stats = st
-		p.obsRecord(&res.Stats, spec.Name, series)
-		return res, nil
-	}
-
-	// Plan-derived series: materialize the conservative baseline (the
-	// profiling IPC source) and the plan, cache-first.
-	var cons core.Stats
-	if ok, err := p.Cache.Get(keys.series[serCons], &cons); err != nil {
-		return CellResult{}, err
-	} else if !ok {
-		if cons, err = runOne(p.consConfig(), prog, keys.series[serCons]); err != nil {
-			return CellResult{}, err
-		}
-	}
-	var pe planEntry
-	if ok, err := p.Cache.Get(keys.plan, &pe); err != nil {
-		return CellResult{}, err
-	} else if !ok {
-		if err := ctx.Err(); err != nil {
-			return CellResult{}, fmt.Errorf("%s plan: %w", spec.Name, err)
-		}
-		graph, err := cfg.Profile(trace.NewLimit(program.NewExecutor(prog, execSeed), p.ProfileInstrs),
-			cfg.Options{IPC: cons.IPC()})
-		if err != nil {
-			return CellResult{}, fmt.Errorf("%s profile: %w", spec.Name, err)
-		}
-		if pe.Plan, err = asmdb.Build(graph, p.AsmDB); err != nil {
-			return CellResult{}, fmt.Errorf("%s plan: %w", spec.Name, err)
-		}
-		pe.StaticBloat = pe.Plan.StaticBloat(prog)
-		if err := p.Cache.Put(keys.plan, pe); err != nil {
-			return CellResult{}, err
-		}
-	}
-
-	cfgc := p.consConfig()
-	if id == serAsmdbFDP || id == serAsmdbFDPIdeal {
-		cfgc = p.fdpConfig()
-	}
-	target := prog
-	switch id {
-	case serAsmdbCons, serAsmdbFDP:
-		if target, _, err = asmdb.Apply(prog, pe.Plan); err != nil {
-			return CellResult{}, fmt.Errorf("%s apply: %w", spec.Name, err)
-		}
-	case serAsmdbConsIdeal, serAsmdbFDPIdeal:
-		cfgc.Triggers = asmdb.Triggers(prog, pe.Plan)
-	}
-	st, err := runOne(cfgc, target, keys.series[id])
-	if err != nil {
-		return CellResult{}, err
-	}
-	res.Stats = st
-	p.obsRecord(&res.Stats, spec.Name, series)
-	return res, nil
-}
-
-// runCellSim executes one configuration against target on the pool,
-// joining with ctx (runner.Group.WaitCtx) while the task itself polls the
-// same ctx (core.RunSourceCtx) — so an abandoned join stops the
-// simulation instead of stranding it on a worker — and caches the result
-// under key only when the run completes.
-func runCellSim(ctx context.Context, pool *runner.Pool, p Params, spec workload.Spec, cfgc core.Config, target *program.Program, key simKey) (core.Stats, error) {
-	var st core.Stats
-	g := pool.NewGroup()
-	g.Go(func() error {
-		s, err := core.RunSourceCtx(ctx, cfgc, program.NewExecutor(target, key.ExecSeed))
-		if err != nil {
-			return err
-		}
-		st = s
-		return p.Cache.Put(key, s)
-	})
-	if err := g.WaitCtx(ctx); err != nil {
-		return core.Stats{}, fmt.Errorf("%s %s: %w", spec.Name, cfgc.Name, err)
-	}
-	return st, nil
+	return CellResult{Stats: *seriesTable[i].slot(m), Fingerprint: addr, Cached: r.hit[i]}, nil
 }
 
 // ProbeCell looks a (workload, series) cell up in the cache without
 // executing anything: the serving layer's hot path. It returns the cell's
 // content address in either case.
 func ProbeCell(spec workload.Spec, series string, p Params) (core.Stats, string, bool, error) {
-	id, err := seriesByLabel(series)
+	key, err := seriesKey(spec, series, p)
 	if err != nil {
 		return core.Stats{}, "", false, err
 	}
-	keys, err := newMatrixKeys(spec, p)
-	if err != nil {
-		return core.Stats{}, "", false, err
-	}
-	addr, err := runner.Fingerprint(keys.series[id])
+	addr, err := runner.Fingerprint(key)
 	if err != nil {
 		return core.Stats{}, "", false, err
 	}
 	var st core.Stats
-	ok, err := p.Cache.Get(keys.series[id], &st)
+	ok, err := p.Cache.Get(key, &st)
 	return st, addr, ok, err
 }
 
@@ -256,15 +143,11 @@ func StoreCellBytes(spec workload.Spec, series string, p Params, raw []byte) err
 	if _, err := core.StatsFromJSON(raw); err != nil {
 		return fmt.Errorf("experiment: refusing to store cell bytes: %w", err)
 	}
-	id, err := seriesByLabel(series)
+	key, err := seriesKey(spec, series, p)
 	if err != nil {
 		return err
 	}
-	keys, err := newMatrixKeys(spec, p)
-	if err != nil {
-		return err
-	}
-	return p.Cache.Put(keys.series[id], json.RawMessage(raw))
+	return p.Cache.Put(key, json.RawMessage(raw))
 }
 
 // StoreConfigCellBytes is StoreCellBytes for an arbitrary configuration
@@ -325,11 +208,13 @@ func RunConfigCellCtx(ctx context.Context, pool *runner.Pool, spec workload.Spec
 	if err != nil {
 		return CellResult{}, err
 	}
-	st, err := runCellSim(ctx, pool, p, spec, c, prog, key)
+	err = p.runCells(ctx, pool, spec, []coldCell{{series: c.Name, cfg: c, prog: prog, commit: func(st core.Stats) error {
+		res.Stats = st
+		return p.Cache.Put(key, st)
+	}}})
 	if err != nil {
 		return CellResult{}, err
 	}
-	res.Stats = st
 	p.obsRecord(&res.Stats, spec.Name, c.Name)
 	return res, nil
 }

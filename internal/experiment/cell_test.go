@@ -7,10 +7,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"frontsim/internal/core"
+	"frontsim/internal/obs"
 	"frontsim/internal/runner"
 	"frontsim/internal/workload"
 )
@@ -44,8 +48,8 @@ func TestCellMatchesSuite(t *testing.T) {
 
 	pool := runner.NewPool(2)
 	defer pool.Close()
-	for id := seriesID(0); id < numSeries; id++ {
-		label := seriesLabels[id]
+	for id := range seriesTable {
+		label := seriesTable[id].label
 		res, err := RunCellCtx(context.Background(), pool, spec, label, p)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -53,7 +57,7 @@ func TestCellMatchesSuite(t *testing.T) {
 		if !res.Cached {
 			t.Fatalf("%s: cell missed the cache the suite populated", label)
 		}
-		want, err := m.seriesPtr(id).CanonicalJSON()
+		want, err := seriesTable[id].slot(m).CanonicalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,9 +71,60 @@ func TestCellMatchesSuite(t *testing.T) {
 	}
 }
 
-// TestColdCellMatchesSuite runs one plan-derived cell cold (its own cache)
-// and asserts it reproduces the suite's result bit-for-bit, including the
-// dependency chain (baseline, profile, plan).
+// matrixFields maps each series label to its Matrix field, spelled out
+// independently of the series table so a row routed to the wrong slot
+// fails here.
+func matrixFields(m *Matrix) map[string]*core.Stats {
+	return map[string]*core.Stats{
+		"cons": &m.Cons, "fdp24": &m.FDP, "eip+fdp24": &m.EIPFDP,
+		"asmdb+cons": &m.AsmdbCons, "asmdb-ideal+cons": &m.AsmdbConsIdeal,
+		"asmdb+fdp24": &m.AsmdbFDP, "asmdb-ideal+fdp24": &m.AsmdbFDPIdeal,
+		"mana+fdp24": &m.MANAFDP, "shadow+fdp24": &m.ShadowFDP, "itlb+fdp24": &m.ITLBFDP,
+	}
+}
+
+// TestSeriesOrderPinned pins the suite's series labels to their literal
+// order, and Mechanisms() to the base-program subset of them in the same
+// order, each keyed exactly like its series. Consumers index by position:
+// the serving layer's /v1/workloads and the benchmark's suite digest.
+func TestSeriesOrderPinned(t *testing.T) {
+	want := []string{"cons", "fdp24", "eip+fdp24", "asmdb+cons", "asmdb-ideal+cons",
+		"asmdb+fdp24", "asmdb-ideal+fdp24", "mana+fdp24", "shadow+fdp24", "itlb+fdp24"}
+	if got := SeriesLabels(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SeriesLabels() = %q, want %q", got, want)
+	}
+	wantMechs := []string{"cons", "fdp24", "eip+fdp24", "mana+fdp24", "shadow+fdp24", "itlb+fdp24"}
+	mechs := Mechanisms()
+	if got := mechanismLabels(mechs); !reflect.DeepEqual(got, wantMechs) {
+		t.Fatalf("Mechanisms() labels = %q, want %q", got, wantMechs)
+	}
+	spec := workload.All()[0]
+	p := DefaultParams()
+	for _, m := range mechs {
+		c, err := m.Config(p)
+		if err != nil {
+			t.Fatalf("%s: %v", m.Label, err)
+		}
+		cfgAddr, err := ConfigCellAddress(spec, c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cellAddr, err := CellAddress(spec, m.Label, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfgAddr != cellAddr {
+			t.Errorf("mechanism %s addresses %s, its series %s", m.Label, cfgAddr, cellAddr)
+		}
+	}
+}
+
+// TestColdCellMatchesSuite runs every series cold through the
+// single-cell path, each into its own fresh cache, and asserts it
+// reproduces the suite bit for bit: the same stats, the same content
+// address, and only cache entries the suite also wrote, byte-identical —
+// dependencies (baseline, plan) included. A cold cell observes every run
+// it makes through Params.ObsRun, under the series label.
 func TestColdCellMatchesSuite(t *testing.T) {
 	spec := workload.All()[0]
 
@@ -78,41 +133,75 @@ func TestColdCellMatchesSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	suite := snapshotDir(t, suiteP.Cache.Dir())
+	fields := matrixFields(m)
 
-	cellP := cellParams(t, t.TempDir())
 	pool := runner.NewPool(2)
 	defer pool.Close()
-	res, err := RunCellCtx(context.Background(), pool, spec, "asmdb+fdp24", cellP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cached {
-		t.Fatal("cold cell reported a cache hit")
-	}
-	want, err := m.AsmdbFDP.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := res.Stats.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("cold cell diverged from suite:\ncell:  %s\nsuite: %s", got, want)
-	}
+	for _, label := range SeriesLabels() {
+		t.Run(label, func(t *testing.T) {
+			dir := t.TempDir()
+			cellP := cellParams(t, dir)
+			var mu sync.Mutex
+			observed := map[string]int{}
+			cellP.ObsRun = func(wl, series string) obs.Sink {
+				mu.Lock()
+				defer mu.Unlock()
+				observed[wl+"/"+series]++
+				return nil
+			}
+			res, err := RunCellCtx(context.Background(), pool, spec, label, cellP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cached {
+				t.Fatal("cold cell reported a cache hit")
+			}
+			field, ok := fields[label]
+			if !ok {
+				t.Fatalf("series %q has no matrix field", label)
+			}
+			want, err := field.CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := res.Stats.CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("cold cell diverged from suite:\ncell:  %s\nsuite: %s", got, want)
+			}
 
-	// Both paths must also agree on the cell's content address, i.e. they
-	// wrote the same cache entry.
-	addr, err := CellAddress(spec, "asmdb+fdp24", cellP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if addr != res.Fingerprint {
-		t.Fatalf("CellAddress %s != RunCellCtx fingerprint %s", addr, res.Fingerprint)
-	}
-	entry := filepath.Join(suiteP.Cache.Dir(), addr[:2], addr+".json")
-	if _, err := os.Stat(entry); err != nil {
-		t.Fatalf("suite cache lacks the cell's entry at its address: %v", err)
+			addr, err := CellAddress(spec, label, cellP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if addr != res.Fingerprint {
+				t.Fatalf("CellAddress %s != RunCellCtx fingerprint %s", addr, res.Fingerprint)
+			}
+			cell := snapshotDir(t, dir)
+			if _, ok := cell[filepath.ToSlash(filepath.Join(addr[:2], addr+".json"))]; !ok {
+				t.Fatalf("cold cell left no entry at its address %s", addr)
+			}
+			for rel, b := range cell {
+				sb, ok := suite[rel]
+				if !ok {
+					t.Errorf("cold cell wrote %s, which the suite did not", rel)
+				} else if !bytes.Equal(b, sb) {
+					t.Errorf("cold cell's entry %s differs from the suite's", rel)
+				}
+			}
+
+			if observed[spec.Name+"/"+label] != 1 {
+				t.Errorf("ObsRun calls %v: want one for %s/%s", observed, spec.Name, label)
+			}
+			for k := range observed {
+				if k != spec.Name+"/"+label && k != spec.Name+"/cons" {
+					t.Errorf("ObsRun called for %s, neither the cell nor its baseline", k)
+				}
+			}
+		})
 	}
 }
 
@@ -158,9 +247,36 @@ func TestCancelledCellNeverCached(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("RunCellCtx = %v, want context.Canceled", err)
 		}
+		if want := spec.Name + " fdp24: "; !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name the cell (%q)", err, want)
+		}
 		entries, temps := cacheDirState(t, dir)
 		if len(entries) != 0 || len(temps) != 0 {
 			t.Fatalf("pre-cancelled cell wrote to the cache: entries %v temps %v", entries, temps)
+		}
+	})
+
+	// A planned cell whose dependencies are already cached fails on its
+	// own run, and the error names its series, not its machine.
+	t.Run("pre-cancelled-planned", func(t *testing.T) {
+		dir := t.TempDir()
+		p := cellParams(t, dir)
+		if _, err := RunCellCtx(context.Background(), pool, spec, "asmdb+fdp24", p); err != nil {
+			t.Fatal(err)
+		}
+		before, _ := cacheDirState(t, dir)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, err := RunCellCtx(ctx, pool, spec, "asmdb-ideal+fdp24", p)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("RunCellCtx = %v, want context.Canceled", err)
+		}
+		if want := spec.Name + " asmdb-ideal+fdp24: "; !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name the cell (%q)", err, want)
+		}
+		after, temps := cacheDirState(t, dir)
+		if len(after) != len(before) || len(temps) != 0 {
+			t.Fatalf("pre-cancelled cell wrote to the cache: entries %d -> %d, temps %v", len(before), len(after), temps)
 		}
 	})
 
@@ -182,6 +298,9 @@ func TestCancelledCellNeverCached(t *testing.T) {
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("RunCellCtx = %v, want context.Canceled", err)
+		}
+		if !strings.Contains(err.Error(), spec.Name+" ") {
+			t.Fatalf("error %q does not name the workload", err)
 		}
 		entries, temps := cacheDirState(t, dir)
 		if len(temps) != 0 {

@@ -18,9 +18,11 @@
 package experiment
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"frontsim/internal/asmdb"
 	"frontsim/internal/bpu"
@@ -28,6 +30,7 @@ import (
 	"frontsim/internal/cfg"
 	"frontsim/internal/core"
 	"frontsim/internal/hwpf"
+	"frontsim/internal/isa"
 	"frontsim/internal/obs"
 	"frontsim/internal/program"
 	"frontsim/internal/runner"
@@ -161,54 +164,112 @@ func (m *Matrix) Speedup(st core.Stats) float64 {
 	return st.IPC() / m.Cons.IPC()
 }
 
-// seriesID indexes the ten per-workload configurations.
-type seriesID int
-
-const (
-	serCons seriesID = iota
-	serFDP
-	serEIP
-	serAsmdbCons
-	serAsmdbConsIdeal
-	serAsmdbFDP
-	serAsmdbFDPIdeal
-	serMANAFDP
-	serShadowFDP
-	serITLBFDP
-	numSeries
-)
-
-// seriesLabels name the series in cache keys and progress lines.
-var seriesLabels = [numSeries]string{
-	"cons", "fdp24", "eip+fdp24",
-	"asmdb+cons", "asmdb-ideal+cons", "asmdb+fdp24", "asmdb-ideal+fdp24",
-	"mana+fdp24", "shadow+fdp24", "itlb+fdp24",
+// series is one row of the per-workload series table: a machine paired
+// with a program, and the Matrix field its stats land in. The table below
+// is the only place a series is spelled out; run-cache keys, the planner
+// (runRows), the single-cell surface and Mechanisms() all derive from it.
+type series struct {
+	// label names the series in cache-series labels, progress lines,
+	// observability labels and the serving layer's requests.
+	label string
+	// machine builds the front-end the series runs on.
+	machine machine
+	// program is the instruction stream: progBase, progAsmdb or
+	// progTriggers.
+	program string
+	// slot is the series' field of a Matrix.
+	slot func(*Matrix) *core.Stats
 }
 
-func (m *Matrix) seriesPtr(id seriesID) *core.Stats {
-	switch id {
-	case serCons:
-		return &m.Cons
-	case serFDP:
-		return &m.FDP
-	case serEIP:
-		return &m.EIPFDP
-	case serAsmdbCons:
-		return &m.AsmdbCons
-	case serAsmdbConsIdeal:
-		return &m.AsmdbConsIdeal
-	case serAsmdbFDP:
-		return &m.AsmdbFDP
-	case serAsmdbFDPIdeal:
-		return &m.AsmdbFDPIdeal
-	case serMANAFDP:
-		return &m.MANAFDP
-	case serShadowFDP:
-		return &m.ShadowFDP
-	case serITLBFDP:
-		return &m.ITLBFDP
+// seriesTable is every per-workload series, in suite order: the order of
+// SeriesLabels, of the run-cache probes and of the suite's progress lines.
+// A new machine or program variant arrives as one more row.
+var seriesTable = [...]series{
+	{"cons", conservative, progBase, func(m *Matrix) *core.Stats { return &m.Cons }},
+	{"fdp24", fdp24, progBase, func(m *Matrix) *core.Stats { return &m.FDP }},
+	{"eip+fdp24", onFDP24(func(c *core.Config) (err error) {
+		c.Frontend.Prefetcher, err = hwpf.NewEIP(hwpf.DefaultEIPConfig())
+		return err
+	}), progBase, func(m *Matrix) *core.Stats { return &m.EIPFDP }},
+	{"asmdb+cons", conservative, progAsmdb, func(m *Matrix) *core.Stats { return &m.AsmdbCons }},
+	{"asmdb-ideal+cons", conservative, progTriggers, func(m *Matrix) *core.Stats { return &m.AsmdbConsIdeal }},
+	{"asmdb+fdp24", fdp24, progAsmdb, func(m *Matrix) *core.Stats { return &m.AsmdbFDP }},
+	{"asmdb-ideal+fdp24", fdp24, progTriggers, func(m *Matrix) *core.Stats { return &m.AsmdbFDPIdeal }},
+	{"mana+fdp24", onFDP24(func(c *core.Config) (err error) {
+		c.Frontend.Prefetcher, err = hwpf.NewMANA(hwpf.DefaultMANAConfig())
+		return err
+	}), progBase, func(m *Matrix) *core.Stats { return &m.MANAFDP }},
+	{"shadow+fdp24", onFDP24(func(c *core.Config) error {
+		c.Frontend.Shadow = bpu.DefaultShadowConfig()
+		return nil
+	}), progBase, func(m *Matrix) *core.Stats { return &m.ShadowFDP }},
+	{"itlb+fdp24", onFDP24(func(c *core.Config) error {
+		c.Memory.ITLB = cache.DefaultITLBConfig()
+		return nil
+	}), progBase, func(m *Matrix) *core.Stats { return &m.ITLBFDP }},
+}
+
+// numSeries is the number of per-workload series.
+const numSeries = len(seriesTable)
+
+// profileRow is the series whose IPC seeds the AsmDB profiler, so its
+// machine's fingerprint is every plan's provenance. The paper profiles on
+// the pre-FDP machine AsmDB's authors evaluated.
+const profileRow = 0
+
+// A machine builds a series' front-end configuration, before Params.stamp
+// sets budgets and run modes. Every call returns a distinct Config:
+// prefetcher instances carry learned state.
+type machine func() (core.Config, error)
+
+// conservative is the paper's 2-entry-FTQ baseline front-end.
+func conservative() (core.Config, error) { return core.ConservativeConfig(), nil }
+
+// fdp24 is the industry-standard 24-entry FDP front-end.
+func fdp24() (core.Config, error) { return core.DefaultConfig(), nil }
+
+// onFDP24 is fdp24 with one configuration edit.
+func onFDP24(edit func(*core.Config) error) machine {
+	return func() (core.Config, error) {
+		c := core.DefaultConfig()
+		err := edit(&c)
+		return c, err
 	}
-	panic(fmt.Sprintf("experiment: series %d", id))
+}
+
+// config is the series' machine under p's budgets and run modes.
+func (s *series) config(p Params) (core.Config, error) {
+	c, err := s.machine()
+	if err != nil {
+		return core.Config{}, err
+	}
+	return p.stamp(c), nil
+}
+
+// key is the series' run-cache identity for spec under p. A base-program
+// series is keyed by its own configuration's fingerprint; a planned one
+// by its machine's fingerprint plus the provenance of plan, which must
+// then be p.planKeyFor(spec).
+func (s *series) key(spec workload.Spec, p Params, plan planKey) (simKey, error) {
+	c, err := s.config(p)
+	if err != nil {
+		return simKey{}, err
+	}
+	k := baseSimKey(spec, p, c)
+	if s.program != progBase {
+		opts := plan.AsmDB
+		k.Program, k.AsmDB, k.ProfileInstrs, k.ProfileConfig = s.program, &opts, plan.ProfileInstrs, plan.ProfileConfig
+	}
+	return k, nil
+}
+
+// stamp sets p's instruction budgets and its run modes — Audit,
+// FastForward and Sampling, which every simulated cell takes from Params
+// — on c.
+func (p Params) stamp(c core.Config) core.Config {
+	c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
+	c.Audit, c.FastForward, c.Sampling = p.Audit, p.FastForward, p.Sampling
+	return c
 }
 
 // Program-variant tags in run-cache keys. The config fingerprint cannot
@@ -287,113 +348,22 @@ func (e *planEntry) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// matrixKeys precomputes the cache identities of a workload's runs. All of
-// them are derivable before anything executes, which is what lets a fully
-// warm workload skip even building its program.
-type matrixKeys struct {
-	series [numSeries]simKey
-	plan   planKey
+// baseSimKey is the cache identity of a run of c against spec's
+// unmodified program.
+func baseSimKey(spec workload.Spec, p Params, c core.Config) simKey {
+	return simKey{Schema: core.FingerprintSchema, Kind: "sim", Workload: spec,
+		Program: progBase, Config: c.Fingerprint(), ExecSeed: spec.Seed ^ p.ExecSeedSalt}
 }
 
-func (p Params) consConfig() core.Config {
-	c := core.ConservativeConfig()
-	c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
-	c.Audit = p.Audit
-	c.FastForward = p.FastForward
-	c.Sampling = p.Sampling
-	return c
-}
-
-func (p Params) fdpConfig() core.Config {
-	c := core.DefaultConfig()
-	c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
-	c.Audit = p.Audit
-	c.FastForward = p.FastForward
-	c.Sampling = p.Sampling
-	return c
-}
-
-func (p Params) eipConfig() (core.Config, error) {
-	c := p.fdpConfig()
-	eip, err := hwpf.NewEIP(hwpf.DefaultEIPConfig())
+// planKeyFor addresses spec's AsmDB plan under p, profiled on profileRow's
+// machine.
+func (p Params) planKeyFor(spec workload.Spec) (planKey, error) {
+	c, err := seriesTable[profileRow].config(p)
 	if err != nil {
-		return c, err
+		return planKey{}, err
 	}
-	c.Frontend.Prefetcher = eip
-	return c, nil
-}
-
-// manaConfig layers the MANA spatial-region prefetcher on the FDP
-// front-end, mirroring eipConfig's shape for the hardware comparator.
-func (p Params) manaConfig() (core.Config, error) {
-	c := p.fdpConfig()
-	mana, err := hwpf.NewMANA(hwpf.DefaultMANAConfig())
-	if err != nil {
-		return c, err
-	}
-	c.Frontend.Prefetcher = mana
-	return c, nil
-}
-
-// shadowConfig enables shadow-branch decoding on the FDP front-end.
-func (p Params) shadowConfig() core.Config {
-	c := p.fdpConfig()
-	c.Frontend.Shadow = bpu.DefaultShadowConfig()
-	return c
-}
-
-// itlbConfig enables the I-TLB model (with prefetch dropping) on the FDP
-// front-end.
-func (p Params) itlbConfig() core.Config {
-	c := p.fdpConfig()
-	c.Memory.ITLB = cache.DefaultITLBConfig()
-	return c
-}
-
-func newMatrixKeys(spec workload.Spec, p Params) (matrixKeys, error) {
-	eipCfg, err := p.eipConfig()
-	if err != nil {
-		return matrixKeys{}, err
-	}
-	manaCfg, err := p.manaConfig()
-	if err != nil {
-		return matrixKeys{}, err
-	}
-	consFP := p.consConfig().Fingerprint()
-	fdpFP := p.fdpConfig().Fingerprint()
-	eipFP := eipCfg.Fingerprint()
-	manaFP := manaCfg.Fingerprint()
-	shadowFP := p.shadowConfig().Fingerprint()
-	itlbFP := p.itlbConfig().Fingerprint()
-	seed := spec.Seed ^ p.ExecSeedSalt
-	opts := p.AsmDB
-
-	base := func(cfgFP string) simKey {
-		return simKey{Schema: core.FingerprintSchema, Kind: "sim", Workload: spec,
-			Program: progBase, Config: cfgFP, ExecSeed: seed}
-	}
-	planned := func(prog, cfgFP string) simKey {
-		k := base(cfgFP)
-		k.Program = prog
-		k.AsmDB = &opts
-		k.ProfileInstrs = p.ProfileInstrs
-		k.ProfileConfig = consFP
-		return k
-	}
-	var mk matrixKeys
-	mk.series[serCons] = base(consFP)
-	mk.series[serFDP] = base(fdpFP)
-	mk.series[serEIP] = base(eipFP)
-	mk.series[serAsmdbCons] = planned(progAsmdb, consFP)
-	mk.series[serAsmdbConsIdeal] = planned(progTriggers, consFP)
-	mk.series[serAsmdbFDP] = planned(progAsmdb, fdpFP)
-	mk.series[serAsmdbFDPIdeal] = planned(progTriggers, fdpFP)
-	mk.series[serMANAFDP] = base(manaFP)
-	mk.series[serShadowFDP] = base(shadowFP)
-	mk.series[serITLBFDP] = base(itlbFP)
-	mk.plan = planKey{Schema: core.FingerprintSchema, Kind: "plan", Workload: spec,
-		AsmDB: opts, ProfileInstrs: p.ProfileInstrs, ProfileConfig: consFP, ExecSeed: seed}
-	return mk, nil
+	return planKey{Schema: core.FingerprintSchema, Kind: "plan", Workload: spec, AsmDB: p.AsmDB,
+		ProfileInstrs: p.ProfileInstrs, ProfileConfig: c.Fingerprint(), ExecSeed: spec.Seed ^ p.ExecSeedSalt}, nil
 }
 
 // RunMatrix builds the workload, profiles it, generates and applies the
@@ -405,197 +375,261 @@ func RunMatrix(spec workload.Spec, index int, p Params) (*Matrix, error) {
 	}
 	pool := runner.NewPool(p.Parallelism)
 	defer pool.Close()
-	return runMatrixPooled(pool, spec, index, p, nil)
-}
-
-// runMatrixPooled executes one workload's matrix on a shared pool. It
-// probes the cache for every series first; whatever is missing runs as
-// per-configuration jobs in two fork-join waves (plain-program runs, then
-// plan-derived runs, which need the baseline IPC to profile against).
-func runMatrixPooled(pool *runner.Pool, spec workload.Spec, index int, p Params, pr *runner.Progress) (*Matrix, error) {
+	ctx := context.Background() //lint:allow ctx-less wrapper by contract: a matrix is a batch run nothing cancels; callers with a lifetime use RunCellCtx
 	m := &Matrix{Spec: spec, Index: index}
-	keys, err := newMatrixKeys(spec, p)
-	if err != nil {
+	if _, err := runRows(ctx, pool, m, p, everyRow, true, nil); err != nil {
 		return nil, err
-	}
-
-	var have [numSeries]bool
-	missing := 0
-	for id := seriesID(0); id < numSeries; id++ {
-		ok, err := p.Cache.Get(keys.series[id], m.seriesPtr(id))
-		if err != nil {
-			return nil, err
-		}
-		have[id] = ok
-		if ok {
-			p.obsRecord(m.seriesPtr(id), spec.Name, seriesLabels[id])
-			pr.JobDone(spec.Name+"/"+seriesLabels[id], true)
-		} else {
-			missing++
-		}
-	}
-	var pe planEntry
-	havePlan, err := p.Cache.Get(keys.plan, &pe)
-	if err != nil {
-		return nil, err
-	}
-	if havePlan {
-		m.Plan, m.StaticBloat = pe.Plan, pe.StaticBloat
-	}
-	if havePlan && missing == 0 {
-		return m, nil
-	}
-
-	prog, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	execSeed := spec.Seed ^ p.ExecSeedSalt
-
-	// seriesCell wraps one cold series; its commit fills the matrix slot,
-	// stores the result, records its metrics and reports progress.
-	seriesCell := func(id seriesID, c core.Config) coldCell {
-		return coldCell{
-			cfg: c,
-			wl:  spec.Name, series: seriesLabels[id],
-			label: spec.Name + " " + seriesLabels[id],
-			commit: func(st core.Stats) error {
-				*m.seriesPtr(id) = st
-				if err := p.Cache.Put(keys.series[id], st); err != nil {
-					return err
-				}
-				p.obsRecord(&st, spec.Name, seriesLabels[id])
-				pr.JobDone(spec.Name+"/"+seriesLabels[id], false)
-				return nil
-			},
-		}
-	}
-
-	// Wave 1: runs against the unmodified program. The conservative
-	// baseline doubles as the profiling IPC source, as the paper profiles
-	// on the pre-FDP machine AsmDB's authors evaluated.
-	g := pool.NewGroup()
-	var w1 []coldCell
-	if !have[serCons] {
-		w1 = append(w1, seriesCell(serCons, p.consConfig()))
-	}
-	if !have[serFDP] {
-		w1 = append(w1, seriesCell(serFDP, p.fdpConfig()))
-	}
-	if !have[serEIP] {
-		c, err := p.eipConfig()
-		if err != nil {
-			return nil, err
-		}
-		w1 = append(w1, seriesCell(serEIP, c))
-	}
-	if !have[serMANAFDP] {
-		c, err := p.manaConfig()
-		if err != nil {
-			return nil, err
-		}
-		w1 = append(w1, seriesCell(serMANAFDP, c))
-	}
-	if !have[serShadowFDP] {
-		w1 = append(w1, seriesCell(serShadowFDP, p.shadowConfig()))
-	}
-	if !have[serITLBFDP] {
-		w1 = append(w1, seriesCell(serITLBFDP, p.itlbConfig()))
-	}
-	goColdCells(g, p, prog, execSeed, w1)
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-
-	needPlanned := !have[serAsmdbCons] || !have[serAsmdbConsIdeal] ||
-		!have[serAsmdbFDP] || !have[serAsmdbFDPIdeal]
-	if !havePlan {
-		graph, err := cfg.Profile(trace.NewLimit(program.NewExecutor(prog, execSeed), p.ProfileInstrs),
-			cfg.Options{IPC: m.Cons.IPC()})
-		if err != nil {
-			return nil, fmt.Errorf("%s profile: %w", spec.Name, err)
-		}
-		if m.Plan, err = asmdb.Build(graph, p.AsmDB); err != nil {
-			return nil, fmt.Errorf("%s plan: %w", spec.Name, err)
-		}
-		m.StaticBloat = m.Plan.StaticBloat(prog)
-		if err := p.Cache.Put(keys.plan, planEntry{Plan: m.Plan, StaticBloat: m.StaticBloat}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Wave 2: runs that need the plan — the rewritten program for the
-	// insertion-overhead series, the trigger table (over the base
-	// program) for the ideal ones.
-	if needPlanned {
-		rewritten, _, err := asmdb.Apply(prog, m.Plan)
-		if err != nil {
-			return nil, fmt.Errorf("%s apply: %w", spec.Name, err)
-		}
-		triggers := asmdb.Triggers(prog, m.Plan)
-		withTriggers := func(c core.Config) core.Config {
-			c.Triggers = triggers
-			return c
-		}
-		g = pool.NewGroup()
-		var rw, trg []coldCell
-		if !have[serAsmdbCons] {
-			rw = append(rw, seriesCell(serAsmdbCons, p.consConfig()))
-		}
-		if !have[serAsmdbFDP] {
-			rw = append(rw, seriesCell(serAsmdbFDP, p.fdpConfig()))
-		}
-		if !have[serAsmdbConsIdeal] {
-			trg = append(trg, seriesCell(serAsmdbConsIdeal, withTriggers(p.consConfig())))
-		}
-		if !have[serAsmdbFDPIdeal] {
-			trg = append(trg, seriesCell(serAsmdbFDPIdeal, withTriggers(p.fdpConfig())))
-		}
-		goColdCells(g, p, rewritten, execSeed, rw)
-		goColdCells(g, p, prog, execSeed, trg)
-		if err := g.Wait(); err != nil {
-			return nil, err
-		}
 	}
 	return m, nil
 }
 
-// coldCell is one cache-missed simulation cell queued against a
-// workload's program. Warm cells are served from the cache by the
-// planners (runMatrixPooled, sweep) and never become cold cells.
+// everyRow wants the whole series table: a matrix.
+var everyRow = func() (w [numSeries]bool) {
+	for i := range w {
+		w[i] = true
+	}
+	return w
+}()
+
+// rowsRun reports what runRows found for the rows it probed.
+type rowsRun struct {
+	keys [numSeries]simKey
+	hit  [numSeries]bool
+}
+
+// runRows is the series planner. It fills the wanted rows of m — and,
+// with wantPlan, m.Plan — from the run cache where it can, and otherwise
+// does only the work those rows depend on:
+//
+//  1. Probe the wanted rows (and the plan). Return if all of them hit.
+//  2. Otherwise probe the missing rows' dependencies — a planned row
+//     needs profileRow and the plan — and build the program once.
+//  3. Run the missing base-program rows as one wave.
+//  4. Profile and plan, if the plan is needed and missed.
+//  5. Derive only the program variants the missing planned rows use and
+//     run those rows as a second wave.
+//
+// Wanted rows are recorded to p.Obs and pr, hit or run; dependency rows
+// are only cached. Every cold cell runs through Params.runCells, joined
+// with ctx, so a cancelled row is never cached.
+func runRows(ctx context.Context, pool *runner.Pool, m *Matrix, p Params, want [numSeries]bool, wantPlan bool, pr *runner.Progress) (rowsRun, error) {
+	spec := m.Spec
+	var r rowsRun
+	pk, err := p.planKeyFor(spec)
+	if err != nil {
+		return r, err
+	}
+	var probed [numSeries]bool
+	probe := func(i int) error {
+		s := &seriesTable[i]
+		k, err := s.key(spec, p, pk)
+		if err != nil {
+			return err
+		}
+		ok, err := p.Cache.Get(k, s.slot(m))
+		if err != nil {
+			return err
+		}
+		r.keys[i], r.hit[i], probed[i] = k, ok, true
+		if ok && want[i] {
+			p.obsRecord(s.slot(m), spec.Name, s.label)
+			pr.JobDone(spec.Name+"/"+s.label, true)
+		}
+		return nil
+	}
+	var probedPlan, havePlan bool
+	probePlan := func() error {
+		var pe planEntry
+		var err error
+		if havePlan, err = p.Cache.Get(pk, &pe); err != nil {
+			return err
+		}
+		if havePlan {
+			m.Plan, m.StaticBloat = pe.Plan, pe.StaticBloat
+		}
+		probedPlan = true
+		return nil
+	}
+
+	missing, missingPlanned := false, false
+	for i := range seriesTable {
+		if !want[i] {
+			continue
+		}
+		if err := probe(i); err != nil {
+			return r, err
+		}
+		if !r.hit[i] {
+			missing = true
+			missingPlanned = missingPlanned || seriesTable[i].program != progBase
+		}
+	}
+	if wantPlan {
+		if err := probePlan(); err != nil {
+			return r, err
+		}
+	}
+	if !missing && (!wantPlan || havePlan) {
+		return r, nil
+	}
+
+	needPlan := missingPlanned || wantPlan
+	if needPlan {
+		if !probed[profileRow] {
+			if err := probe(profileRow); err != nil {
+				return r, err
+			}
+		}
+		if !probedPlan {
+			if err := probePlan(); err != nil {
+				return r, err
+			}
+		}
+	}
+	prog, err := spec.Build()
+	if err != nil {
+		return r, err
+	}
+
+	// cell wraps missed row i; its commit fills the matrix slot, stores
+	// the result and, for a wanted row, records metrics and progress.
+	cell := func(i int) (coldCell, error) {
+		s := &seriesTable[i]
+		c, err := s.config(p)
+		return coldCell{series: s.label, cfg: c, prog: prog, commit: func(st core.Stats) error {
+			*s.slot(m) = st
+			if err := p.Cache.Put(r.keys[i], st); err != nil {
+				return err
+			}
+			if want[i] {
+				p.obsRecord(&st, spec.Name, s.label)
+				pr.JobDone(spec.Name+"/"+s.label, false)
+			}
+			return nil
+		}}, err
+	}
+	var wave []coldCell
+	var planned []int
+	for i := range seriesTable {
+		if !probed[i] || r.hit[i] {
+			continue
+		}
+		if seriesTable[i].program != progBase {
+			planned = append(planned, i)
+			continue
+		}
+		c, err := cell(i)
+		if err != nil {
+			return r, err
+		}
+		wave = append(wave, c)
+	}
+	if err := p.runCells(ctx, pool, spec, wave); err != nil {
+		return r, err
+	}
+
+	if needPlan && !havePlan {
+		if err := ctx.Err(); err != nil {
+			return r, fmt.Errorf("%s plan: %w", spec.Name, err)
+		}
+		graph, err := cfg.Profile(trace.NewLimit(program.NewExecutor(prog, spec.Seed^p.ExecSeedSalt), p.ProfileInstrs),
+			cfg.Options{IPC: seriesTable[profileRow].slot(m).IPC()})
+		if err != nil {
+			return r, fmt.Errorf("%s profile: %w", spec.Name, err)
+		}
+		if m.Plan, err = asmdb.Build(graph, p.AsmDB); err != nil {
+			return r, fmt.Errorf("%s plan: %w", spec.Name, err)
+		}
+		m.StaticBloat = m.Plan.StaticBloat(prog)
+		if err := p.Cache.Put(pk, planEntry{Plan: m.Plan, StaticBloat: m.StaticBloat}); err != nil {
+			return r, err
+		}
+	}
+
+	// The program variants: the AsmDB-rewritten program for the
+	// insertion-overhead rows; the base program plus the plan's trigger
+	// table for the ideal ones. Each is derived at most once.
+	var (
+		rewritten *program.Program
+		triggers  map[isa.Addr][]isa.Addr
+		wave2     []coldCell
+	)
+	for _, i := range planned {
+		c, err := cell(i)
+		if err != nil {
+			return r, err
+		}
+		switch seriesTable[i].program {
+		case progAsmdb:
+			if rewritten == nil {
+				if rewritten, _, err = asmdb.Apply(prog, m.Plan); err != nil {
+					return r, fmt.Errorf("%s apply: %w", spec.Name, err)
+				}
+			}
+			c.prog = rewritten
+		case progTriggers:
+			if triggers == nil {
+				triggers = asmdb.Triggers(prog, m.Plan)
+			}
+			c.cfg.Triggers = triggers
+		}
+		wave2 = append(wave2, c)
+	}
+	return r, p.runCells(ctx, pool, spec, wave2)
+}
+
+// coldCell is one cache-missed simulation of a workload: a configuration
+// over a program, named by its series label.
 type coldCell struct {
-	cfg core.Config
-	// wl and series key the observability hooks (Params.ObsRun and the
-	// suite collector).
-	wl, series string
-	// label prefixes errors ("workload series: ...").
-	label string
+	series string
+	cfg    core.Config
+	prog   *program.Program
 	// commit publishes the finished stats: result slot, cache put, obs
-	// record and, for matrix cells, the progress line.
+	// record and, for matrix rows, the progress line.
 	commit func(core.Stats) error
 }
 
-// goColdCells submits each cold cell to g as its own stealable pool job,
-// which simulates the cell over a fresh executor of prog and commits it.
-func goColdCells(g *runner.Group, p Params, prog *program.Program, execSeed uint64, cells []coldCell) {
-	for _, cell := range cells {
+// runCells is the one cold-cell executor. It runs cells as one fork-join
+// wave on pool, each cell its own stealable job that simulates and then
+// commits, and joins with ctx: a cancelled join unqueues the cells not yet
+// started and waits for the running ones, which poll the same ctx
+// (core.RunSourceCtx) and stop without committing. Errors name the
+// workload and the series.
+func (p Params) runCells(ctx context.Context, pool *runner.Pool, spec workload.Spec, cells []coldCell) error {
+	if len(cells) == 0 {
+		return nil
+	}
+	g := pool.NewGroup()
+	for _, c := range cells {
 		g.Go(func() error {
-			st, err := p.simulate(cell.cfg, prog, execSeed, cell.wl, cell.series)
+			st, err := p.simulate(ctx, c.cfg, c.prog, spec, c.series)
 			if err != nil {
-				return fmt.Errorf("%s: %w", cell.label, err)
+				return fmt.Errorf("%s %s: %w", spec.Name, c.series, err)
 			}
-			return cell.commit(st)
+			return c.commit(st)
 		})
 	}
+	err := g.WaitCtx(ctx)
+	if err != nil && err == ctx.Err() {
+		// The join gave up before any cell reported: name every cell the
+		// cancellation abandoned.
+		labels := make([]string, len(cells))
+		for i, c := range cells {
+			labels[i] = c.series
+		}
+		return fmt.Errorf("%s %s: %w", spec.Name, strings.Join(labels, ","), err)
+	}
+	return err
 }
 
-// simulate runs c over a fresh executor of prog, attaching the per-run
-// observer Params.ObsRun supplies for (wl, series) and closing it after.
-func (p Params) simulate(c core.Config, prog *program.Program, execSeed uint64, wl, series string) (core.Stats, error) {
+// simulate runs c over a fresh executor of prog with ctx, attaching the
+// per-run observer Params.ObsRun supplies for (workload, series) and
+// closing it after.
+func (p Params) simulate(ctx context.Context, c core.Config, prog *program.Program, spec workload.Spec, series string) (core.Stats, error) {
 	if p.ObsRun != nil {
-		c.Obs = p.ObsRun(wl, series)
+		c.Obs = p.ObsRun(spec.Name, series)
 	}
-	st, err := core.RunSource(c, program.NewExecutor(prog, execSeed))
+	st, err := core.RunSourceCtx(ctx, c, program.NewExecutor(prog, spec.Seed^p.ExecSeedSalt))
 	if cl, ok := c.Obs.(io.Closer); ok {
 		if cerr := cl.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("closing observer: %w", cerr)
@@ -620,15 +654,17 @@ func RunSuiteMonitor(specs []workload.Spec, p Params, progress, jobProgress func
 	pool := runner.NewPool(p.Parallelism)
 	defer pool.Close()
 	pr := runner.NewProgress(jobProgress)
-	pr.AddTotal(int(numSeries) * len(specs))
+	pr.AddTotal(numSeries * len(specs))
 
+	ctx := context.Background() //lint:allow ctx-less wrapper by contract: a suite is a batch run nothing cancels; callers with a lifetime use RunCellCtx
 	out := make([]*Matrix, len(specs))
 	errs := make([]error, len(specs))
 	g := pool.NewGroup()
 	for i, spec := range specs {
 		i, spec := i, spec
 		g.Go(func() error {
-			m, err := runMatrixPooled(pool, spec, i+1, p, pr)
+			m := &Matrix{Spec: spec, Index: i + 1}
+			_, err := runRows(ctx, pool, m, p, everyRow, true, pr)
 			out[i], errs[i] = m, err
 			if progress != nil {
 				if err != nil {

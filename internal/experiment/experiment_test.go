@@ -161,17 +161,17 @@ func TestRunSuiteDeterminismAcrossParallelism(t *testing.T) {
 		if !bytes.Equal(b, c) {
 			t.Fatalf("repeated par-8 runs differ for %s:\n first  %s\n second %s", serial[i].Spec.Name, b, c)
 		}
-		for id := seriesID(0); id < numSeries; id++ {
-			sa, err := serial[i].seriesPtr(id).CanonicalJSON()
+		for id := range seriesTable {
+			sa, err := seriesTable[id].slot(serial[i]).CanonicalJSON()
 			if err != nil {
 				t.Fatal(err)
 			}
-			sb, err := par8a[i].seriesPtr(id).CanonicalJSON()
+			sb, err := seriesTable[id].slot(par8a[i]).CanonicalJSON()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(sa, sb) {
-				t.Fatalf("series %s of %s differs across parallelism", seriesLabels[id], serial[i].Spec.Name)
+				t.Fatalf("series %s of %s differs across parallelism", seriesTable[id].label, serial[i].Spec.Name)
 			}
 		}
 	}

@@ -52,17 +52,17 @@ func TestFastForwardEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := seriesID(0); id < numSeries; id++ {
-		off, err := mOff.seriesPtr(id).CanonicalJSON()
+	for id := range seriesTable {
+		off, err := seriesTable[id].slot(mOff).CanonicalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		on, err := mOn.seriesPtr(id).CanonicalJSON()
+		on, err := seriesTable[id].slot(mOn).CanonicalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(off, on) {
-			t.Errorf("%s: stats diverge under fast-forward:\ncycle-by-cycle: %s\nfast-forward:   %s", seriesLabels[id], off, on)
+			t.Errorf("%s: stats diverge under fast-forward:\ncycle-by-cycle: %s\nfast-forward:   %s", seriesTable[id].label, off, on)
 		}
 	}
 }
@@ -110,20 +110,20 @@ func TestStaleSchemaEntryRejected(t *testing.T) {
 	if !ok {
 		t.Fatal("suite workload missing")
 	}
-	keys, err := newMatrixKeys(spec, p)
+	fdp, err := seriesKey(spec, "fdp24", p)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Write the FDP cell exactly as a schema-5 binary would have keyed it.
-	stale := keys.series[serFDP]
+	stale := fdp
 	stale.Schema = 5
 	if err := c.Put(stale, core.Stats{Config: "stale-schema-5"}); err != nil {
 		t.Fatal(err)
 	}
 
 	var got core.Stats
-	hit, err := c.Get(keys.series[serFDP], &got)
+	hit, err := c.Get(fdp, &got)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,38 +16,26 @@ import (
 // instances carry learned state, so sharing one across runs would leak it).
 type Mechanism struct {
 	// Label names the mechanism in tables, cache-series labels and test
-	// output. It matches the matrix series label where one exists.
+	// output: the label of its row of the series table.
 	Label string
-	// Config builds the mechanism's machine configuration from the
-	// sweep's budgets. Audit/FastForward are overridden by the caller.
+	// Config builds the mechanism's machine configuration under p's
+	// budgets and run modes (Params.stamp).
 	Config func(p Params) (core.Config, error)
 }
 
 // Mechanisms returns the characterization-matrix registry: every prefetch
 // mechanism the simulator models, each layered on the machine it is
-// evaluated on in EXPERIMENTS.md. The two FTQ baselines lead so speedups
+// evaluated on in EXPERIMENTS.md. These are the base-program rows of the
+// series table, in its order, so the two FTQ baselines lead and speedups
 // can be read against them; the order is stable and tests index into it.
 func Mechanisms() []Mechanism {
-	return []Mechanism{
-		{Label: "cons", Config: func(p Params) (core.Config, error) {
-			return p.consConfig(), nil
-		}},
-		{Label: "fdp24", Config: func(p Params) (core.Config, error) {
-			return p.fdpConfig(), nil
-		}},
-		{Label: "eip+fdp24", Config: func(p Params) (core.Config, error) {
-			return p.eipConfig()
-		}},
-		{Label: "mana+fdp24", Config: func(p Params) (core.Config, error) {
-			return p.manaConfig()
-		}},
-		{Label: "shadow+fdp24", Config: func(p Params) (core.Config, error) {
-			return p.shadowConfig(), nil
-		}},
-		{Label: "itlb+fdp24", Config: func(p Params) (core.Config, error) {
-			return p.itlbConfig(), nil
-		}},
+	var out []Mechanism
+	for i := range seriesTable {
+		if s := &seriesTable[i]; s.program == progBase {
+			out = append(out, Mechanism{Label: s.label, Config: s.config})
+		}
 	}
+	return out
 }
 
 // AblationMechanism runs every mechanism over every workload and reports
@@ -66,7 +54,7 @@ func AblationMechanism(specs []workload.Spec, p Params) (*stats.Table, error) {
 			return nil, fmt.Errorf("mechanism %s: %w", m.Label, err)
 		}
 	}
-	res, err := sweep(specs, len(mechs), p, func(spec workload.Spec, ci int) core.Config {
+	res, err := sweep(specs, mechanismLabels(mechs), p, func(ci int) core.Config {
 		c, err := mechs[ci].Config(p)
 		if err != nil {
 			// Unreachable: the constructor succeeded during pre-validation
@@ -112,4 +100,14 @@ func AblationMechanism(specs []workload.Spec, p Params) (*stats.Table, error) {
 		t.AddRow("geomean", m.Label, "", fmt.Sprintf("%.3f", stats.Geomean(geo[ci])), "", "", "", "", "")
 	}
 	return t, nil
+}
+
+// mechanismLabels are the labels of mechs, in order: the sweep labels of
+// a mechanism grid.
+func mechanismLabels(mechs []Mechanism) []string {
+	labels := make([]string, len(mechs))
+	for i, m := range mechs {
+		labels[i] = m.Label
+	}
+	return labels
 }

@@ -67,7 +67,7 @@ func runMechanismPass(t *testing.T, spec workload.Spec, mode func(*Params)) mech
 	mode(&p)
 
 	mechs := Mechanisms()
-	res, err := sweep([]workload.Spec{spec}, len(mechs), p, func(_ workload.Spec, ci int) core.Config {
+	res, err := sweep([]workload.Spec{spec}, mechanismLabels(mechs), p, func(ci int) core.Config {
 		cfg, err := mechs[ci].Config(p)
 		if err != nil {
 			panic(err)
@@ -177,7 +177,7 @@ func TestMechanismConformance(t *testing.T) {
 	pWarm.Cache = warm
 	pWarm.FastForward = false
 	pWarm.Audit = true
-	res, err := sweep([]workload.Spec{spec}, len(mechs), pWarm, func(_ workload.Spec, ci int) core.Config {
+	res, err := sweep([]workload.Spec{spec}, mechanismLabels(mechs), pWarm, func(ci int) core.Config {
 		cfg, err := mechs[ci].Config(pWarm)
 		if err != nil {
 			panic(err)

@@ -2,6 +2,9 @@ package experiment
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -75,5 +78,40 @@ func TestObsUniformAcrossCacheStates(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Errorf("suite metrics differ cached vs live:\n cold %s\n warm %s", a.Bytes(), b.Bytes())
+	}
+}
+
+// TestAblationMechanismObsLabels pins that a sweep observes each cell
+// under its row's label: the five FDP mechanisms share Config.Name
+// "fdp24", and sinks named after it would truncate each other's files and
+// export metric points with identical labels.
+func TestAblationMechanismObsLabels(t *testing.T) {
+	spec := workload.All()[0]
+	p := cellParams(t, t.TempDir())
+	var mu sync.Mutex
+	seen := map[string]int{}
+	p.ObsRun = func(wl, series string) obs.Sink {
+		mu.Lock()
+		defer mu.Unlock()
+		seen[wl+"/"+series]++
+		return nil
+	}
+	if _, err := AblationMechanism([]workload.Spec{spec}, p); err != nil {
+		t.Fatal(err)
+	}
+	var got, want []string
+	for k, n := range seen {
+		if n != 1 {
+			t.Errorf("sink %s opened %d times", k, n)
+		}
+		got = append(got, k)
+	}
+	for _, m := range Mechanisms() {
+		want = append(want, spec.Name+"/"+m.Label)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("observed (workload, series) pairs %q, want %q", got, want)
 	}
 }

@@ -40,7 +40,7 @@ func TestSamplingCacheDisjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for id := seriesID(0); id < numSeries; id++ {
+	for id := range seriesTable {
 		fe, err := runner.Fingerprint(ke.series[id])
 		if err != nil {
 			t.Fatal(err)
@@ -50,10 +50,10 @@ func TestSamplingCacheDisjoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		if fe == fs {
-			t.Fatalf("series %s: sampled and exact cells share cache address %s", seriesLabels[id], fe)
+			t.Fatalf("series %s: sampled and exact cells share cache address %s", seriesTable[id].label, fe)
 		}
 		if seen[fe] || seen[fs] {
-			t.Fatalf("series %s: duplicate cache address", seriesLabels[id])
+			t.Fatalf("series %s: duplicate cache address", seriesTable[id].label)
 		}
 		seen[fe], seen[fs] = true, true
 	}
@@ -120,18 +120,18 @@ func TestSamplingConformance(t *testing.T) {
 			ref = m
 			continue
 		}
-		for id := seriesID(0); id < numSeries; id++ {
-			a, err := ref.seriesPtr(id).CanonicalJSON()
+		for id := range seriesTable {
+			a, err := seriesTable[id].slot(ref).CanonicalJSON()
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := m.seriesPtr(id).CanonicalJSON()
+			b, err := seriesTable[id].slot(m).CanonicalJSON()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(a, b) {
 				t.Errorf("%s: series %s differs from %s:\n %s\n %s",
-					cb.name, seriesLabels[id], combos[0].name, b, a)
+					cb.name, seriesTable[id].label, combos[0].name, b, a)
 			}
 		}
 		if !reflect.DeepEqual(ref.Plan, m.Plan) {
@@ -203,7 +203,7 @@ func TestLongTierSampledRun(t *testing.T) {
 	p.Cache = c
 	pool := runner.NewPool(2)
 	defer pool.Close()
-	res, err := RunConfigCellCtx(context.Background(), pool, spec, p.fdpConfig(), p)
+	res, err := RunConfigCellCtx(context.Background(), pool, spec, p.stamp(core.DefaultConfig()), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,8 @@ func SamplingValidation(specs []workload.Spec, p Params) (*stats.Table, float64,
 			return nil, 0, fmt.Errorf("mechanism %s: %w", m.Label, err)
 		}
 	}
-	mk := func(p Params) func(spec workload.Spec, ci int) core.Config {
-		return func(spec workload.Spec, ci int) core.Config {
+	mk := func(p Params) func(ci int) core.Config {
+		return func(ci int) core.Config {
 			c, err := mechs[ci].Config(p)
 			if err != nil {
 				panic(fmt.Sprintf("experiment: mechanism %s: %v", mechs[ci].Label, err))
@@ -42,11 +42,11 @@ func SamplingValidation(specs []workload.Spec, p Params) (*stats.Table, float64,
 	}
 	exact := p
 	exact.Sampling = core.SamplingConfig{}
-	ground, err := sweep(specs, len(mechs), exact, mk(exact))
+	ground, err := sweep(specs, mechanismLabels(mechs), exact, mk(exact))
 	if err != nil {
 		return nil, 0, err
 	}
-	sampled, err := sweep(specs, len(mechs), p, mk(p))
+	sampled, err := sweep(specs, mechanismLabels(mechs), p, mk(p))
 	if err != nil {
 		return nil, 0, err
 	}

@@ -223,7 +223,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // --- request/response types ---------------------------------------------
 
 // CellRequest asks for one simulation cell. Series selects one of the
-// suite's seven per-workload series (default "fdp24"); alternatively,
+// suite's per-workload series, as listed by /v1/workloads (default
+// "fdp24"); alternatively,
 // config overrides (FTQ, DecodeWidth, NoPFC, HwPrefetcher) or a named
 // Ablation variant run the workload's unmodified program under a modified
 // industry-standard configuration, cached under the same identity an

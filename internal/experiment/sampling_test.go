@@ -3,7 +3,11 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -225,5 +229,44 @@ func TestLongTierSampledRun(t *testing.T) {
 	covered := sp.FunctionalInstrs + sp.WarmDetailInstrs + res.Stats.Instructions + sp.DrainInstrs
 	if covered < longTierTestInstrs || covered > longTierTestInstrs+2*p.Sampling.IntervalInstrs {
 		t.Errorf("coverage bookkeeping %d instrs does not account for the %d budget", covered, longTierTestInstrs)
+	}
+}
+
+// TestSampledDigestsGolden pins sampled-mode results: the canonical-stats
+// SHA-256 of every series of two workloads at sampledParams. The other
+// sampling tests cross-compare run modes that all share one functional
+// warm path, and series_addresses.golden pins keys, not values, so a
+// change to functional warming that moved a sampled number would pass
+// both; here it fails.
+// Refresh with: go test ./internal/experiment -run SampledDigestsGolden -update
+// (only together with a core.FingerprintSchema bump).
+func TestSampledDigestsGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, name := range []string{"public_srv_60", "secret_crypto52"} {
+		m, err := RunMatrix(mustLookup(t, name), 1, sampledParams())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for id := range seriesTable {
+			j, err := seriesTable[id].slot(m).CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&buf, "%s %s %x\n", name, seriesTable[id].label, sha256.Sum256(j))
+		}
+	}
+
+	golden := filepath.Join("testdata", "sampled_digests.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("sampled stats drifted from golden file:\n got:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
 }

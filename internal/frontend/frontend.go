@@ -162,6 +162,7 @@ type Frontend struct {
 	mem  *cache.Hierarchy
 	src  trace.Source
 	bsrc trace.BlockSource // non-nil when src yields whole blocks
+	wsrc trace.WarmSource  // non-nil when src yields reduced runs (WarmFunctional)
 
 	// triggers maps a trigger PC to target addresses prefetched when the
 	// trigger's block completes fetch (AsmDB "no insertion overhead"
@@ -175,6 +176,7 @@ type Frontend struct {
 	peeked   *isa.Instr // nil or &peekBuf; a stable buffer keeps the per-instruction peek off the heap
 	peekBuf  isa.Instr
 	blockBuf []isa.Instr
+	warmRun  trace.WarmRun
 	srcDone  bool
 	srcErr   error
 
@@ -221,8 +223,10 @@ func New(cfg Config, src trace.Source, mem *cache.Hierarchy, triggers map[isa.Ad
 		triggers: triggers,
 		stallSeq: -1,
 		blockBuf: make([]isa.Instr, 0, ftq.MaxBlockInstrs),
+		warmRun:  trace.WarmRun{Ops: make([]trace.WarmOp, 0, ftq.MaxBlockInstrs)},
 	}
 	f.bsrc, _ = trace.AsBlockSource(src)
+	f.wsrc, _ = src.(trace.WarmSource)
 	if cfg.Shadow.Enabled() {
 		if f.sd, err = bpu.NewShadowDecoder(cfg.Shadow); err != nil {
 			return nil, err
@@ -293,15 +297,21 @@ func (f *Frontend) peek() *isa.Instr {
 	}
 	in, err := f.src.Next()
 	if err != nil {
-		f.srcDone = true
-		if !errors.Is(err, trace.ErrEnd) {
-			f.srcErr = err
-		}
+		f.endSource(err)
 		return nil
 	}
 	f.peekBuf = in
 	f.peeked = &f.peekBuf
 	return f.peeked
+}
+
+// endSource records that the true-path stream ended with err, keeping it
+// unless it is the normal ErrEnd.
+func (f *Frontend) endSource(err error) {
+	f.srcDone = true
+	if !errors.Is(err, trace.ErrEnd) {
+		f.srcErr = err
+	}
 }
 
 // nextBlock accumulates the next basic block from the true-path stream: up
@@ -312,10 +322,7 @@ func (f *Frontend) nextBlock() []isa.Instr {
 	if f.bsrc != nil && !f.srcDone {
 		blk, err := f.bsrc.NextBlock(f.blockBuf[:0], ftq.MaxBlockInstrs)
 		if err != nil {
-			f.srcDone = true
-			if !errors.Is(err, trace.ErrEnd) {
-				f.srcErr = err
-			}
+			f.endSource(err)
 		}
 		return blk
 	}

@@ -2,7 +2,9 @@ package frontend
 
 import (
 	"frontsim/internal/cache"
+	"frontsim/internal/ftq"
 	"frontsim/internal/isa"
+	"frontsim/internal/trace"
 )
 
 // SetFill enables or disables the fill engine. Sampled simulation
@@ -36,50 +38,86 @@ func (f *Frontend) FillEnabled() bool { return !f.fillGated }
 // front-end/back-end sequence lockstep (branch resolution is keyed by fill
 // order) is preserved across the phase.
 //
-// It consumes whole basic blocks, so it may overshoot n by at most one
-// block; the return value is the exact program-instruction count consumed,
-// which is less than n only when the source drained. now is the frozen
-// simulation cycle, passed to the prefetcher for its timestamp bookkeeping.
+// It consumes whole runs, as the fill engine would push them, so it may
+// overshoot n by at most one run; the return value is the exact
+// program-instruction count consumed, which is less than n only when the
+// source drained. now is the frozen simulation cycle, passed to the
+// prefetcher for its timestamp bookkeeping.
+//
+// Each run arrives reduced (trace.WarmRun): no per-instruction record is
+// built. Within a run the loop walks its lines in order and, inside each
+// line, that line's memory and prefetch operations in order, which is the
+// order a per-instruction walk would visit them. With a trigger table it
+// walks the run PC by PC instead, so trigger warms keep their place too.
 func (f *Frontend) WarmFunctional(n int64, now cache.Cycle) int64 {
 	var consumed int64
 	var lastLine isa.Addr = ^isa.Addr(0)
 	for consumed < n {
-		blk := f.nextBlock()
-		if len(blk) == 0 {
+		r := f.nextWarmRun()
+		if r.N == 0 {
 			break
 		}
-		for _, in := range blk {
-			if line := in.PC.Line(); line != lastLine {
+		ops := r.Ops
+		end := r.PC + isa.Addr(r.N*isa.InstrSize)
+		for line := r.PC.Line(); line < end; line += isa.LineSize {
+			if line != lastLine {
 				lastLine = line
 				f.warmFetchLine(line, now)
 			}
-			switch {
-			case in.Class.IsMem():
-				f.mem.WarmData(in.DataAddr)
-			case in.Class == isa.ClassSwPrefetch:
-				f.mem.WarmPrefetchInstr(in.Target)
+			next := min(line+isa.LineSize, end)
+			if f.trigFilter == nil {
+				for len(ops) > 0 && ops[0].PC < next {
+					f.warmOp(ops[0])
+					ops = ops[1:]
+				}
+				continue
 			}
-			if f.trigFilter != nil {
-				h := trigHash(in.PC)
+			for pc := max(line, r.PC); pc < next; pc += isa.InstrSize {
+				if len(ops) > 0 && ops[0].PC == pc {
+					f.warmOp(ops[0])
+					ops = ops[1:]
+				}
+				h := trigHash(pc)
 				if f.trigFilter[h>>6]&(1<<(h&63)) != 0 {
-					for _, t := range f.triggers[in.PC] {
+					for _, t := range f.triggers[pc] {
 						f.mem.WarmPrefetchInstr(t)
 					}
 				}
 			}
-			if in.Class != isa.ClassSwPrefetch {
-				consumed++
-			}
 		}
-		last := blk[len(blk)-1]
-		if last.Class.IsBranch() {
+		consumed += int64(r.N - r.Prefetches)
+		if r.Term.Class.IsBranch() {
 			if f.sd != nil {
-				f.sd.Observe(last)
+				f.sd.Observe(r.Term)
 			}
-			f.bp.PredictAndTrain(last)
+			f.bp.PredictAndTrain(r.Term)
 		}
 	}
 	return consumed
+}
+
+// nextWarmRun reduces the next run of the true-path stream: straight from
+// a WarmSource, otherwise through trace.WarmRun.Reduce over nextBlock's
+// run, which covers slices, Limit-wrapped and serialized sources.
+func (f *Frontend) nextWarmRun() *trace.WarmRun {
+	r := &f.warmRun
+	if f.wsrc == nil || f.srcDone {
+		r.Reduce(f.nextBlock())
+		return r
+	}
+	if err := f.wsrc.NextWarmRun(r, ftq.MaxBlockInstrs); err != nil {
+		f.endSource(err)
+	}
+	return r
+}
+
+// warmOp warms one memory or software-prefetch operation.
+func (f *Frontend) warmOp(op trace.WarmOp) {
+	if op.Prefetch {
+		f.mem.WarmPrefetchInstr(op.Addr)
+	} else {
+		f.mem.WarmData(op.Addr)
+	}
 }
 
 // warmFetchLine is fetchLine's functional counterpart: content-only

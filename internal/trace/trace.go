@@ -54,6 +54,69 @@ type BlockSource interface {
 	NextBlock(buf []isa.Instr, max int) ([]isa.Instr, error)
 }
 
+// WarmRun is the reduction of one fetch run to what functional warming
+// acts on: the run's extent, its memory and software-prefetch operations,
+// and its terminating branch. No per-instruction record is built.
+type WarmRun struct {
+	// PC is the run's first instruction address and N its instruction
+	// count, software prefetches and terminator included. The run is
+	// address-contiguous: its instructions sit at PC, PC+InstrSize, ...
+	PC isa.Addr
+	N  int
+	// Prefetches counts the run's software-prefetch instructions.
+	Prefetches int
+	// Ops holds the run's memory and software-prefetch instructions in
+	// program order.
+	Ops []WarmOp
+	// Term is the run's final instruction when that is a branch; for a run
+	// that ends without one it is the zero Instr (a non-branch class).
+	Term isa.Instr
+}
+
+// WarmOp is one memory or software-prefetch instruction of a WarmRun.
+type WarmOp struct {
+	PC isa.Addr
+	// Addr is a memory op's data address, or a software prefetch's
+	// resolved target.
+	Addr     isa.Addr
+	Prefetch bool
+}
+
+// Reduce sets r to the reduction of blk, a run as BlockSource.NextBlock
+// returns it. It is the adapter that brings any source's runs to a
+// functional-warming consumer; WarmSource implementations must match it.
+func (r *WarmRun) Reduce(blk []isa.Instr) {
+	*r = WarmRun{N: len(blk), Ops: r.Ops[:0]}
+	if len(blk) == 0 {
+		return
+	}
+	r.PC = blk[0].PC
+	for i := range blk {
+		in := &blk[i]
+		switch {
+		case in.Class.IsMem():
+			r.Ops = append(r.Ops, WarmOp{PC: in.PC, Addr: in.DataAddr})
+		case in.Class == isa.ClassSwPrefetch:
+			r.Ops = append(r.Ops, WarmOp{PC: in.PC, Addr: in.Target, Prefetch: true})
+			r.Prefetches++
+		}
+	}
+	if last := blk[len(blk)-1]; last.Class.IsBranch() {
+		r.Term = last
+	}
+}
+
+// WarmSource is an optional BlockSource refinement for sources that can
+// hand functional warming a reduced run without building its
+// instructions. NextWarmRun sets r to the reduction (Reduce) of exactly
+// the run NextBlock(buf[:0], max) would have returned at this point of the
+// stream, with the same error, and leaves the source where that NextBlock
+// call would have left it. r.Ops is reused.
+type WarmSource interface {
+	BlockSource
+	NextWarmRun(r *WarmRun, max int) error
+}
+
 // AsBlockSource reports whether src can yield whole fetch blocks,
 // unwrapping Limit (whose block support depends on what it wraps).
 func AsBlockSource(src Source) (BlockSource, bool) {
